@@ -20,8 +20,7 @@ from scipy.optimize import linprog
 
 from .coherent import (
     SourceConfig,
-    poisson_pmf,
-    poisson_tail,
+    _poisson_weights,
     usd_success_linear_optics,
     usd_success_optimal,
 )
@@ -32,6 +31,12 @@ DEFAULT_N_TRUNC = 20
 
 #: Truncation tail mass above which optimize_yields warns.
 TRUNC_TAIL_TOL = 1e-12
+
+#: Relative shortfall of a gain row's ceiling below its target beyond which
+#: solve_yield_lp reports infeasible without calling the solver. It is 10x
+#: HiGHS's primal feasibility tolerance (1e-7) on the unit right-hand-side
+#: rows the solver sees, so HiGHS cannot accept such a point either.
+GAIN_CEILING_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -152,9 +157,8 @@ def attack_gains(cfg: SourceConfig, usd: UsdPerformance, plan: YieldPlan) -> Gai
     E_mu Q_mu = sum_i (1/2) q_mu (1 - xi_mu) Z_i^nu P_i^mu, and symmetrically
     for the decoy intensity.
     """
-    i = np.arange(1, plan.n_trunc + 1)
-    p_mu = poisson_pmf(cfg.mu, i)
-    p_nu = poisson_pmf(cfg.nu, i)
+    p_mu, _ = _poisson_weights(cfg.mu, plan.n_trunc)
+    p_nu, _ = _poisson_weights(cfg.nu, plan.n_trunc)
     y_s, y_d = yields_from_plan(cfg, usd, plan)
     return GainStats(
         q_mu_gain=float(p_mu @ y_s[1:]),
@@ -196,10 +200,14 @@ def solve_yield_lp(
     of magnitude at high loss).
 
     The objective is Y_1^s = q_mu [xi_mu Z_1^mu + (1 - xi_mu) Z_1^nu].
+
+    A gain row can reach at most the sum of its positive coefficients over
+    the yield box. When that ceiling falls short of a positive target by
+    more than GAIN_CEILING_MARGIN, the point is reported infeasible without
+    calling the solver.
     """
-    i = np.arange(1, n_trunc + 1)
-    p_mu = poisson_pmf(mu, i)
-    p_nu = poisson_pmf(nu, i)
+    p_mu, _ = _poisson_weights(mu, n_trunc)
+    p_nu, _ = _poisson_weights(nu, n_trunc)
 
     c = np.zeros(2 * n_trunc)
     c[0] = q_mu * xi_mu
@@ -230,6 +238,14 @@ def solve_yield_lp(
         a_ub_s, b_ub_s = scaled(a_ub, b_ub)
     else:
         a_ub_s = b_ub_s = None
+
+    ceiling = np.clip(a_eq, 0.0, None).sum(axis=1)
+    short = (b_eq > 0.0) & (ceiling < b_eq * (1.0 - GAIN_CEILING_MARGIN))
+    # non-finite inputs still go to linprog, which rejects them with ValueError
+    if short.any() and all(
+        np.isfinite(x).all() for x in (c, a_eq_s, b_eq_s, a_ub_s, b_ub_s) if x is not None
+    ):
+        return LpSolution(feasible=False, z=None, objective=None)
 
     res = linprog(
         c,
@@ -276,7 +292,7 @@ def optimize_yields(
     reproduce the expected statistics at this loss) is reported via
     feasible=False.
     """
-    tail = poisson_tail(cfg.mu, n_trunc)
+    _, tail = _poisson_weights(cfg.mu, n_trunc)
     if tail > TRUNC_TAIL_TOL:
         warnings.warn(
             f"photon-number truncation {n_trunc} leaves Poisson tail "

@@ -4,7 +4,8 @@ Subcommands: usd, bounds, sweep, crossover, region, simulate. Configuration
 is JSON merged over the built-in defaults, with dotted-path overrides via
 --set; the QKDATTACK_CONFIG environment variable supplies a default config
 path. Diagnostics go to stderr; data goes to stdout or the --out file.
-Exit codes: 0 success, 1 usage or validation error, 2 computation error.
+Exit codes: 0 success (also when the reader closes stdout early), 1 usage
+or validation error, 2 computation error.
 """
 from __future__ import annotations
 
@@ -458,7 +459,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         rc = parse_config(args.config, args.overrides)
-        return _COMMANDS[args.command](rc, args.out)
+        if args.command != "usd" and rc.source.nu == 0.0:
+            # every other command runs the one-decoy estimate or samples decoys
+            raise ConfigError(
+                "source.nu",
+                f"{args.command} needs a decoy intensity nu > 0, got {rc.source.nu}",
+            )
+        code = _COMMANDS[args.command](rc, args.out)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): point the descriptor at
+        # devnull so the interpreter's flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ discriminated amplitudes are sqrt(mu/2) and sqrt(nu/2).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -151,6 +152,19 @@ def poisson_pmf(mean: float, i) -> float | np.ndarray:
 def poisson_tail(mean: float, cutoff: int) -> float:
     """Poisson mass beyond the cutoff, P(X > cutoff) for X ~ Poisson(mean)."""
     return float(stats.poisson.sf(cutoff, mean))
+
+
+@functools.lru_cache(maxsize=256)
+def _poisson_weights(mean: float, n_trunc: int) -> tuple[np.ndarray, float]:
+    """Poisson pmf at i = 1..n_trunc (read-only) and the mass beyond n_trunc.
+
+    Memoized per (mean, n_trunc): a loss sweep reuses one source setting at
+    every point. Built from poisson_pmf and poisson_tail, so the values are
+    the same bits those return.
+    """
+    pmf = poisson_pmf(mean, np.arange(1, n_trunc + 1))
+    pmf.setflags(write=False)
+    return pmf, poisson_tail(mean, n_trunc)
 
 
 def min_cutoff_for_tail(mean: float, tail_tol: float = POVM_TAIL_TOL) -> int:

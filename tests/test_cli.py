@@ -1,8 +1,11 @@
 """Tests for the command line: config handling, outputs, exit codes."""
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,6 +191,40 @@ class TestCommands:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "command", ["bounds", "sweep", "crossover", "region", "simulate"]
+    )
+    def test_zero_decoy_intensity_is_usage_error(self, command, capsys):
+        assert cli.main([command, "--set", "source.nu=0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: source.nu: ")
+
+    def test_zero_decoy_intensity_allowed_for_usd(self, capsys):
+        assert cli.main(["usd", "--set", "source.nu=0"]) == 0
+        assert "q_opt" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["usd"],  # fits the stream buffer: the pipe breaks at the final flush
+        ["sweep", "--set", "sweep.start_db=36", "--set", "sweep.end_db=46",
+         "--set", "sweep.step_db=0.05"],  # overflows it: breaks mid-write
+    ], ids=["flush", "write"])
+    def test_closed_stdout_exits_cleanly(self, argv):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)  # the reader is gone before the first byte, as with `| head -0`
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qkdattack.cli", *argv],
+                stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
 
 
 def _readme_console_examples():
