@@ -21,8 +21,6 @@ from .attack import (
     UsdPerformance,
     YieldPlan,
     attack_gains,
-    error_budgets,
-    gain_targets,
     key_rate_upper,
     optimize_yields,
     solve_yield_lp,

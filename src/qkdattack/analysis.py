@@ -123,7 +123,9 @@ def sweep(
     ch_base supplies the background and misalignment parameters; its eta is
     replaced per point. Per-point evaluation is pure, so rows depend only
     on their own loss value. A point whose evaluation fails becomes an
-    infeasible row (r_lower NaN) instead of aborting the sweep.
+    infeasible row (r_lower NaN) instead of aborting the sweep; a source
+    without a decoy intensity (nu = 0) fails at every point, so it raises
+    ValueError before the loop.
     """
     if loss_start_db > loss_end_db:
         raise ValueError(
@@ -132,6 +134,8 @@ def sweep(
         )
     if step_db <= 0:
         raise ValueError(f"step_db must be positive, got {step_db}")
+    if cfg.nu <= 0.0:
+        raise ValueError(f"sweep needs a decoy intensity nu > 0, got {cfg.nu}")
     start_u = _quantize(loss_start_db)
     end_u = _quantize(loss_end_db)
     step_u = max(1, _quantize(step_db))
@@ -205,28 +209,25 @@ def find_crossover(
             f"r_lower - r_upper has the same sign at {bracket_lo_db} dB "
             f"({g_lo:.3e}) and {bracket_hi_db} dB ({g_hi:.3e})"
         )
-    lo, hi = bracket_lo_db, bracket_hi_db
-    lo_positive = g_lo > 0
-    while hi - lo > RESOLUTION_DB:
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
+
+    def positive(loss):
         # an infeasible point has no attainable upper bound, so it sits on
         # the attack-failing side of the crossing (gap effectively -inf)
-        mid_positive = False if g_mid is None else g_mid > 0
-        if mid_positive == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        g = gap(loss)
+        return g is not None and g > 0
+
+    crossover, _, _ = _bisect_flag(positive, bracket_lo_db, bracket_hi_db, g_lo > 0)
+    return crossover
 
 
-def _bisect_flag(predicate, lo: float, hi: float) -> tuple[float, float, float]:
-    """Boundary of a boolean predicate that differs at lo and hi.
+def _bisect_flag(
+    predicate, lo: float, hi: float, p_lo: bool
+) -> tuple[float, float, float]:
+    """Boundary of a boolean predicate that is p_lo at lo and not at hi.
 
     Returns (midpoint, final_lo, final_hi); the final endpoints keep the
     predicate values the initial ones had.
     """
-    p_lo = predicate(lo)
     while hi - lo > RESOLUTION_DB:
         mid = 0.5 * (lo + hi)
         if predicate(mid) == p_lo:
@@ -273,14 +274,14 @@ def success_region(
         lower = rows[0].loss_db
     else:
         lower, _, _ = _bisect_flag(
-            succeeds, rows[first - 1].loss_db, rows[first].loss_db
+            succeeds, rows[first - 1].loss_db, rows[first].loss_db, False
         )
 
     after = next((j for j in range(first + 1, len(rows)) if not flags[j]), None)
     if after is None:
         return SuccessRegion(lower_db=lower, upper_db=None, upper_mechanism=None)
     upper, _, failing = _bisect_flag(
-        succeeds, rows[after - 1].loss_db, rows[after].loss_db
+        succeeds, rows[after - 1].loss_db, rows[after].loss_db, True
     )
 
     # classify what breaks the success predicate just above the endpoint

@@ -24,7 +24,7 @@ from .coherent import (
     usd_success_linear_optics,
     usd_success_optimal,
 )
-from .decoy import ChannelParams, GainStats
+from .decoy import ChannelParams, GainStats, normal_gains
 
 #: Photon-number truncation default; Poisson tail for means <= 1 is < 1e-18.
 DEFAULT_N_TRUNC = 20
@@ -263,20 +263,6 @@ def solve_yield_lp(
     return LpSolution(feasible=True, z=res.x.copy(), objective=float(c @ res.x))
 
 
-def gain_targets(cfg: SourceConfig, ch: ChannelParams) -> tuple[float, float]:
-    """Normal-channel gains the attack must reproduce, 1 - e^(-eta*alpha)."""
-    return (
-        1.0 - math.exp(-ch.eta * cfg.mu),
-        1.0 - math.exp(-ch.eta * cfg.nu),
-    )
-
-
-def error_budgets(cfg: SourceConfig, ch: ChannelParams) -> tuple[float, float]:
-    """Error products of the normal channel, the attacker's error headroom."""
-    t_mu, t_nu = gain_targets(cfg, ch)
-    return (ch.e0 * ch.y0 + ch.e_d * t_mu, ch.e0 * ch.y0 + ch.e_d * t_nu)
-
-
 def optimize_yields(
     cfg: SourceConfig,
     usd: UsdPerformance,
@@ -286,11 +272,11 @@ def optimize_yields(
 ) -> AttackSolution:
     """Best statistics-preserving attack at one channel point.
 
-    Solves the yield LP against the normal-channel gain targets, optionally
-    also enforcing the error-statistics inequalities, and reports the
-    optimal plan with its Y_1^s and R^u. Infeasibility (the attacker cannot
-    reproduce the expected statistics at this loss) is reported via
-    feasible=False.
+    Solves the yield LP against the normal-channel gains of
+    decoy.normal_gains, optionally also enforcing its error products as
+    budgets, and reports the optimal plan with its Y_1^s and R^u.
+    Infeasibility (the attacker cannot reproduce the expected statistics at
+    this loss) is reported via feasible=False.
     """
     _, tail = _poisson_weights(cfg.mu, n_trunc)
     if tail > TRUNC_TAIL_TOL:
@@ -299,13 +285,11 @@ def optimize_yields(
             f"{tail:.3e} > {TRUNC_TAIL_TOL:.1e} for mean {cfg.mu}",
             stacklevel=2,
         )
-    t_mu, t_nu = gain_targets(cfg, ch)
-    bud_mu = bud_nu = None
-    if enforce_errors:
-        bud_mu, bud_nu = error_budgets(cfg, ch)
+    target = normal_gains(cfg, ch)
     sol = solve_yield_lp(
         cfg.mu, cfg.nu, usd.q_mu, usd.q_nu, usd.xi_mu, usd.xi_nu,
-        n_trunc, t_mu, t_nu, bud_mu, bud_nu,
+        n_trunc, target.q_mu_gain, target.q_nu_gain,
+        *((target.emu_qmu, target.enu_qnu) if enforce_errors else (None, None)),
     )
     if not sol.feasible:
         return AttackSolution(
@@ -321,13 +305,14 @@ def optimize_yields(
     achieved = attack_gains(cfg, usd, plan)
     residuals = {
         "gain_eq": max(
-            abs(achieved.q_mu_gain - t_mu), abs(achieved.q_nu_gain - t_nu)
+            abs(achieved.q_mu_gain - target.q_mu_gain),
+            abs(achieved.q_nu_gain - target.q_nu_gain),
         ),
         "z_bounds": max(0.0, float(np.max(sol.z) - 1.0), float(-np.min(sol.z))),
     }
     if enforce_errors:
         residuals["error_ineq"] = max(
-            achieved.emu_qmu - bud_mu, achieved.enu_qnu - bud_nu
+            achieved.emu_qmu - target.emu_qmu, achieved.enu_qnu - target.enu_qnu
         )
     y1s = usd.q_mu * (usd.xi_mu * plan.z_mu[0] + (1.0 - usd.xi_mu) * plan.z_nu[0])
     return AttackSolution(

@@ -3,7 +3,9 @@
 Subcommands: usd, bounds, sweep, crossover, region, simulate. Configuration
 is JSON merged over the built-in defaults, with dotted-path overrides via
 --set; the QKDATTACK_CONFIG environment variable supplies a default config
-path. Diagnostics go to stderr; data goes to stdout or the --out file.
+path. Each field takes the type of its default in defaults.DEFAULT_CONFIG,
+and numbers must be finite. Diagnostics go to stderr; data goes to stdout
+or the --out file, which is written only once the command has succeeded.
 Exit codes: 0 success (also when the reader closes stdout early), 1 usage
 or validation error, 2 computation error.
 """
@@ -20,13 +22,21 @@ from . import analysis, coherent, montecarlo
 from .attack import UsdPerformance, optimize_yields
 from .coherent import SourceConfig
 from .decoy import ChannelParams
-from .defaults import default_config
+from .defaults import DEFAULT_CONFIG
 
 CONFIG_ENV_VAR = "QKDATTACK_CONFIG"
 
 SWEEP_CSV_HEADER = "loss_db,eta,q_mu_gain,r_lower,r_upper,feasible,attack_success"
 
-_IDEAL_CHOICES = ("optimal", "linear_optics")
+_IDEAL_USD = {
+    "optimal": coherent.usd_success_optimal,
+    "linear_optics": coherent.usd_success_linear_optics,
+}
+
+#: Fields accepted beyond those of DEFAULT_CONFIG, with their types.
+_EXTRA_FIELDS = {"channel": {"eta": float}, "usd": {"ideal": str}}
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
 class UsageError(Exception):
@@ -41,13 +51,16 @@ class ConfigError(UsageError):
         self.path = path
 
 
+class ComputationError(Exception):
+    """A well-formed request with no computable answer; exit code 2."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters for all subcommands."""
 
     source: SourceConfig
     channel: ChannelParams
-    detector_efficiency: float
     usd: UsdPerformance
     n_trunc: int
     enforce_errors: bool
@@ -58,34 +71,34 @@ class RunConfig:
     mc_seed: int
 
 
-def _merge_section(section: str, defaults: dict, user: dict) -> dict:
-    unknown = set(user) - set(defaults)
-    if unknown:
-        raise ConfigError(f"{section}.{sorted(unknown)[0]}", "unknown field")
-    merged = dict(defaults)
-    merged.update(user)
-    return merged
-
-
 def _coerce(path: str, value, kind) -> object:
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(path, f"expected a boolean, got {value!r}")
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(path, f"expected an integer, got {value!r}")
-        if int(value) != value:
-            raise ConfigError(path, f"expected an integer, got {value!r}")
-        return int(value)
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(path, f"expected a number, got {value!r}")
-        return float(value)
-    raise AssertionError(kind)
+    """value as a field of type kind; numbers must be finite."""
+    numbers = (int, float)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+        value, numbers if kind in numbers else kind
+    ):
+        raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value!r}")
+    if kind is int and int(value) != value:
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(path, f"must be finite, got {value!r}") from None
 
 
-def _apply_overrides(raw: dict, overrides: list[str]) -> None:
+def _checked(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its range errors reported on section."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(section, str(exc)) from None
+
+
+def _parse_overrides(overrides: list[str]) -> list[tuple[str, dict]]:
+    """(section, {field: value}) for each --set section.field=value."""
+    parsed = []
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
@@ -97,128 +110,80 @@ def _apply_overrides(raw: dict, overrides: list[str]) -> None:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        raw.setdefault(parts[0], {})[parts[1]] = value
+        parsed.append((parts[0], {parts[1]: value}))
+    return parsed
 
 
-def build_config(raw: dict) -> RunConfig:
-    """Validate a raw config dict merged over the defaults."""
+def build_config(raw: dict, overrides: list[str] = ()) -> RunConfig:
+    """Validate a raw config dict and --set overrides, merged over the defaults.
+
+    Each field takes the type of its value in DEFAULT_CONFIG; channel.eta
+    and usd.ideal are the only fields beyond those.
+    """
     if not isinstance(raw, dict):
         raise UsageError("config root must be a JSON object")
-    defaults = default_config()
-    unknown = set(raw) - set(defaults)
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown section")
-
-    src_raw = _merge_section("source", defaults["source"], raw.get("source", {}))
-    mu = _coerce("source.mu", src_raw["mu"], float)
-    nu = _coerce("source.nu", src_raw["nu"], float)
-    if not mu > nu >= 0:
-        raise ConfigError("source.mu", f"require mu > nu >= 0, got mu={mu}, nu={nu}")
-    try:
-        source = SourceConfig(
-            mu=mu, nu=nu,
-            theta_s=_coerce("source.theta_s", src_raw["theta_s"], float),
-            theta_d=_coerce("source.theta_d", src_raw["theta_d"], float),
-        )
-    except ValueError as exc:
-        raise ConfigError("source", str(exc)) from None
-
-    ch_user = dict(raw.get("channel", {}))
-    ch_defaults = dict(defaults["channel"])
-    ch_defaults["eta"] = None  # accepted as the alternative to loss_db
-    if "loss_db" in ch_user and "eta" in ch_user:
-        raise ConfigError("channel.loss_db", "give either loss_db or eta, not both")
-    if "eta" in ch_user:
-        ch_defaults.pop("loss_db")
-    ch_raw = _merge_section("channel", ch_defaults, ch_user)
-    if ch_raw.get("eta") is not None:
-        eta = _coerce("channel.eta", ch_raw["eta"], float)
-    else:
-        eta = 10.0 ** (-_coerce("channel.loss_db", ch_raw["loss_db"], float) / 10.0)
-    detector_efficiency = _coerce(
-        "channel.detector_efficiency", ch_raw["detector_efficiency"], float
+    given: dict[str, dict] = {}
+    for section, fields in [*raw.items(), *_parse_overrides(overrides)]:
+        if section not in DEFAULT_CONFIG:
+            raise ConfigError(section, "unknown section")
+        if not isinstance(fields, dict):
+            raise ConfigError(section, f"must be a JSON object, got {fields!r}")
+        given.setdefault(section, {}).update(fields)
+    cfg = {}
+    for section, defaults in DEFAULT_CONFIG.items():
+        kinds = {name: type(v) for name, v in defaults.items()}
+        kinds.update(_EXTRA_FIELDS.get(section, {}))
+        cfg[section] = dict(defaults)
+        for name, value in given.get(section, {}).items():
+            path = f"{section}.{name}"
+            if name not in kinds:
+                raise ConfigError(path, "unknown field")
+            cfg[section][name] = _coerce(path, value, kinds[name])
+    src, ch, usd, sol, sw, mc = (
+        cfg[s] for s in ("source", "channel", "usd", "solver", "sweep", "mc")
     )
-    if not 0.0 < detector_efficiency <= 1.0:
-        raise ConfigError(
-            "channel.detector_efficiency",
-            f"must be in (0, 1], got {detector_efficiency}",
-        )
-    try:
-        channel = ChannelParams(
-            eta=eta,
-            y0=_coerce("channel.y0", ch_raw["y0"], float),
-            e_d=_coerce("channel.e_d", ch_raw["e_d"], float),
-        )
-    except ValueError as exc:
-        raise ConfigError("channel", str(exc)) from None
+    given_usd = given.get("usd", {}).keys()
 
-    usd_user = dict(raw.get("usd", {}))
-    explicit = {"q_mu", "q_nu", "xi_mu", "xi_nu"} & set(usd_user)
-    if "ideal" in usd_user:
-        if explicit:
-            raise ConfigError(
-                "usd.ideal", "ideal selector excludes explicit q/xi values"
-            )
-        ideal = usd_user["ideal"]
-        if ideal not in _IDEAL_CHOICES:
-            raise ConfigError(
-                "usd.ideal", f"must be one of {_IDEAL_CHOICES}, got {ideal!r}"
-            )
-        q = (
-            coherent.usd_success_optimal(source)
-            if ideal == "optimal"
-            else coherent.usd_success_linear_optics(source)
-        )
-        usd = UsdPerformance(q_mu=q, q_nu=q, xi_mu=1.0, xi_nu=1.0)
+    for path, ok, message in (
+        ("source.mu", src["mu"] > src["nu"] >= 0,
+         f"require mu > nu >= 0, got mu={src['mu']}, nu={src['nu']}"),
+        ("channel.loss_db", not {"loss_db", "eta"} <= given.get("channel", {}).keys(),
+         "give either loss_db or eta, not both"),
+        ("usd.ideal", "ideal" not in given_usd or given_usd == {"ideal"},
+         "ideal selector excludes explicit q/xi values"),
+        ("usd.ideal", usd.get("ideal", "optimal") in _IDEAL_USD,
+         f"must be one of {tuple(_IDEAL_USD)}, got {usd.get('ideal')!r}"),
+        ("solver.n_trunc", sol["n_trunc"] >= 1, f"must be >= 1, got {sol['n_trunc']}"),
+        ("sweep.step_db", sw["step_db"] > 0, f"must be positive, got {sw['step_db']}"),
+        ("sweep.start_db", sw["start_db"] <= sw["end_db"],
+         f"empty range: start_db {sw['start_db']} > end_db {sw['end_db']}"),
+        ("mc.n_pulses", mc["n_pulses"] >= 1, f"must be >= 1, got {mc['n_pulses']}"),
+        ("mc.seed", 0 <= mc["seed"] < 2**128, f"must be in [0, 2**128), got {mc['seed']}"),
+    ):
+        if not ok:
+            raise ConfigError(path, message)
+
+    source = _checked("source", SourceConfig, **src)
+    if "eta" in ch:
+        channel = _checked("channel", ChannelParams, ch["eta"], ch["y0"], ch["e_d"])
     else:
-        usd_raw = _merge_section("usd", defaults["usd"], usd_user)
-        try:
-            usd = UsdPerformance(
-                q_mu=_coerce("usd.q_mu", usd_raw["q_mu"], float),
-                q_nu=_coerce("usd.q_nu", usd_raw["q_nu"], float),
-                xi_mu=_coerce("usd.xi_mu", usd_raw["xi_mu"], float),
-                xi_nu=_coerce("usd.xi_nu", usd_raw["xi_nu"], float),
-            )
-            usd.validate_against(source, ceiling="optimal")
-        except ValueError as exc:
-            raise ConfigError("usd", str(exc)) from None
-
-    sol_raw = _merge_section("solver", defaults["solver"], raw.get("solver", {}))
-    n_trunc = _coerce("solver.n_trunc", sol_raw["n_trunc"], int)
-    if n_trunc < 1:
-        raise ConfigError("solver.n_trunc", f"must be >= 1, got {n_trunc}")
-
-    sw_raw = _merge_section("sweep", defaults["sweep"], raw.get("sweep", {}))
-    sweep_start = _coerce("sweep.start_db", sw_raw["start_db"], float)
-    sweep_end = _coerce("sweep.end_db", sw_raw["end_db"], float)
-    sweep_step = _coerce("sweep.step_db", sw_raw["step_db"], float)
-    if sweep_step <= 0:
-        raise ConfigError("sweep.step_db", f"must be positive, got {sweep_step}")
-    if sweep_start > sweep_end:
-        raise ConfigError(
-            "sweep.start_db",
-            f"empty range: start_db {sweep_start} > end_db {sweep_end}",
+        channel = _checked(
+            "channel", ChannelParams.from_loss_db, ch["loss_db"], ch["y0"], ch["e_d"]
         )
-
-    mc_raw = _merge_section("mc", defaults["mc"], raw.get("mc", {}))
-    mc_n = _coerce("mc.n_pulses", mc_raw["n_pulses"], int)
-    if mc_n < 1:
-        raise ConfigError("mc.n_pulses", f"must be >= 1, got {mc_n}")
+    for key in ("start_db", "end_db"):  # the sweep's endpoint channels must exist
+        _checked(f"sweep.{key}", channel.at_loss_db, sw[key])
+    if "ideal" in usd:
+        q = _IDEAL_USD[usd["ideal"]](source)
+        usd_perf = UsdPerformance(q_mu=q, q_nu=q, xi_mu=1.0, xi_nu=1.0)
+    else:
+        usd_perf = _checked("usd", UsdPerformance, **usd)
+        _checked("usd", usd_perf.validate_against, source)
 
     return RunConfig(
-        source=source,
-        channel=channel,
-        detector_efficiency=detector_efficiency,
-        usd=usd,
-        n_trunc=n_trunc,
-        enforce_errors=_coerce(
-            "solver.enforce_errors", sol_raw["enforce_errors"], bool
-        ),
-        sweep_start_db=sweep_start,
-        sweep_end_db=sweep_end,
-        sweep_step_db=sweep_step,
-        mc_n_pulses=mc_n,
-        mc_seed=_coerce("mc.seed", mc_raw["seed"], int),
+        source=source, channel=channel, usd=usd_perf,
+        n_trunc=sol["n_trunc"], enforce_errors=sol["enforce_errors"],
+        sweep_start_db=sw["start_db"], sweep_end_db=sw["end_db"],
+        sweep_step_db=sw["step_db"], mc_n_pulses=mc["n_pulses"], mc_seed=mc["seed"],
     )
 
 
@@ -239,19 +204,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
             raise UsageError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {path} is not valid JSON: {exc}") from None
-    _apply_overrides(raw, overrides or [])
-    return build_config(raw)
-
-
-def _open_out(out: str | None):
-    if out is None:
-        return sys.stdout, False
-    return open(out, "w", newline=""), True
-
-
-def _print_kv(stream, pairs) -> None:
-    for key, value in pairs:
-        stream.write(f"{key} {value}\n")
+    return build_config(raw, overrides or [])
 
 
 def _fmt(value) -> str:
@@ -264,97 +217,67 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def cmd_usd(rc: RunConfig, out: str | None) -> int:
-    stream, close = _open_out(out)
-    try:
-        _print_kv(stream, [
-            ("p_f", _fmt(coherent.failure_probability(rc.source))),
-            ("q_opt", _fmt(coherent.usd_success_optimal(rc.source))),
-            ("q_max", _fmt(coherent.usd_success_linear_optics(rc.source))),
-        ])
-    finally:
-        if close:
-            stream.close()
-    return 0
+def _kv_lines(**fields) -> str:
+    return "".join(f"{key} {_fmt(value)}\n" for key, value in fields.items())
 
 
-def cmd_bounds(rc: RunConfig, out: str | None) -> int:
+def cmd_usd(rc: RunConfig) -> str:
+    return _kv_lines(
+        p_f=coherent.failure_probability(rc.source),
+        q_opt=coherent.usd_success_optimal(rc.source),
+        q_max=coherent.usd_success_linear_optics(rc.source),
+    )
+
+
+def cmd_bounds(rc: RunConfig) -> str:
     row = analysis.evaluate_point(
         rc.source, rc.usd, rc.channel,
         n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
     )
-    stream, close = _open_out(out)
-    try:
-        _print_kv(stream, [
-            ("loss_db", _fmt(row.loss_db)),
-            ("eta", _fmt(row.eta)),
-            ("r_lower", _fmt(row.r_lower)),
-            ("r_upper", _fmt(row.r_upper)),
-            ("feasible", _fmt(row.feasible)),
-            ("attack_success", _fmt(row.attack_success)),
-        ])
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return _kv_lines(
+        loss_db=row.loss_db, eta=row.eta, r_lower=row.r_lower, r_upper=row.r_upper,
+        feasible=row.feasible, attack_success=row.attack_success,
+    )
 
 
-def cmd_sweep(rc: RunConfig, out: str | None) -> int:
+def cmd_sweep(rc: RunConfig) -> str:
     rows = analysis.sweep(
         rc.source, rc.usd, rc.channel,
         rc.sweep_start_db, rc.sweep_end_db, rc.sweep_step_db,
         n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
     )
-    stream, close = _open_out(out)
-    try:
-        stream.write(SWEEP_CSV_HEADER + "\n")
-        for r in rows:
-            stream.write(",".join([
-                _fmt(r.loss_db), _fmt(r.eta), _fmt(r.q_mu_gain),
-                _fmt(r.r_lower), _fmt(r.r_upper),
-                _fmt(r.feasible), _fmt(r.attack_success),
-            ]) + "\n")
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return SWEEP_CSV_HEADER + "\n" + "".join(
+        ",".join(_fmt(v) for v in (
+            r.loss_db, r.eta, r.q_mu_gain, r.r_lower, r.r_upper,
+            r.feasible, r.attack_success,
+        )) + "\n"
+        for r in rows
+    )
 
 
-def cmd_crossover(rc: RunConfig, out: str | None) -> int:
+def cmd_crossover(rc: RunConfig) -> str:
     loss = analysis.find_crossover(
         rc.source, rc.usd, rc.channel,
         rc.sweep_start_db, rc.sweep_end_db,
         n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
     )
-    stream, close = _open_out(out)
-    try:
-        _print_kv(stream, [("crossover_db", f"{loss:.2f}")])
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return f"crossover_db {loss:.2f}\n"
 
 
-def cmd_region(rc: RunConfig, out: str | None) -> int:
+def cmd_region(rc: RunConfig) -> str:
     region = analysis.success_region(
         rc.source, rc.usd, rc.channel,
         (rc.sweep_start_db, rc.sweep_end_db, rc.sweep_step_db),
         n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
     )
-    stream, close = _open_out(out)
-    try:
-        _print_kv(stream, [
-            ("lower_db", f"{region.lower_db:.2f}"),
-            ("upper_db", "" if region.upper_db is None else f"{region.upper_db:.2f}"),
-            ("upper_mechanism", region.upper_mechanism or ""),
-        ])
-    finally:
-        if close:
-            stream.close()
-    return 0
+    return _kv_lines(
+        lower_db=f"{region.lower_db:.2f}",
+        upper_db=None if region.upper_db is None else f"{region.upper_db:.2f}",
+        upper_mechanism=region.upper_mechanism,
+    )
 
 
-def cmd_simulate(rc: RunConfig, out: str | None) -> int:
+def cmd_simulate(rc: RunConfig) -> str:
     sol = optimize_yields(
         rc.source, rc.usd, rc.channel,
         n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
@@ -400,18 +323,7 @@ def cmd_simulate(rc: RunConfig, out: str | None) -> int:
             "gain_nu": residual(stats.gain_nu_hat, stats.gain_nu_se, expected.q_nu_gain),
         },
     }
-    stream, close = _open_out(out)
-    try:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
-    return 0
-
-
-class ComputationError(Exception):
-    """A well-formed request with no computable answer; exit code 2."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 _COMMANDS = {
@@ -465,9 +377,17 @@ def main(argv: list[str] | None = None) -> int:
                 "source.nu",
                 f"{args.command} needs a decoy intensity nu > 0, got {rc.source.nu}",
             )
-        code = _COMMANDS[args.command](rc, args.out)
-        sys.stdout.flush()  # a closed pipe must surface here, not at exit
-        return code
+        text = _COMMANDS[args.command](rc)
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        else:  # created only now, after the command succeeded
+            try:
+                with open(args.out, "w", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.out}: {exc}") from None
+        return 0
     except BrokenPipeError:
         # The reader closed stdout (`| head`): point the descriptor at
         # devnull so the interpreter's flush at exit cannot fail again.

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,17 +141,21 @@ def poisson_pmf(mean: float, i) -> float | np.ndarray:
     """Poisson photon-number probability mean^i e^{-mean} / i!.
 
     Accepts a scalar or array of counts; evaluated in log space internally
-    so large counts do not overflow.
+    so large counts do not overflow. This is the expression
+    scipy.stats.poisson.pmf evaluates, so the values are the same bits.
     """
     if mean < 0:
         raise ValueError(f"mean must be non-negative, got {mean}")
-    out = stats.poisson.pmf(i, mean)
+    out = np.exp(special.xlogy(i, mean) - special.gammaln(np.add(i, 1)) - mean)
     return float(out) if np.isscalar(i) else out
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:
-    """Poisson mass beyond the cutoff, P(X > cutoff) for X ~ Poisson(mean)."""
-    return float(stats.poisson.sf(cutoff, mean))
+    """Poisson mass beyond the cutoff, P(X > cutoff) for X ~ Poisson(mean).
+
+    The same call scipy.stats.poisson.sf makes, so the same bits.
+    """
+    return float(special.pdtrc(cutoff, mean))
 
 
 @functools.lru_cache(maxsize=256)
@@ -170,9 +174,6 @@ def _poisson_weights(mean: float, n_trunc: int) -> tuple[np.ndarray, float]:
 def min_cutoff_for_tail(mean: float, tail_tol: float = POVM_TAIL_TOL) -> int:
     """Smallest cutoff whose Poisson tail mass is below tail_tol."""
     c = 1
-    guess = stats.poisson.isf(tail_tol, mean)
-    if np.isfinite(guess):
-        c = max(1, int(guess) - 2)
     while poisson_tail(mean, c) >= tail_tol:
         c += 1
     return c

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qkdattack.analysis import (
+    RESOLUTION_DB,
     EmptyRegionError,
     InfeasibleBracketError,
     NoBracketError,
@@ -103,6 +104,11 @@ class TestSweep:
         assert rows[0].feasible and rows[2].feasible
 
 
+    def test_zero_decoy_intensity_raises(self):
+        with pytest.raises(ValueError, match="nu > 0"):
+            sweep(SourceConfig(mu=0.5, nu=0.0), TABLE_USD, BASE, 36.0, 38.0, 1.0)
+
+
 class TestFindCrossover:
     def test_reference_threshold(self):
         loss = find_crossover(REF, TABLE_USD, BASE, 33.0, 44.0)
@@ -181,3 +187,22 @@ class TestSuccessRegion:
     def test_region_invariant(self):
         with pytest.raises(ValueError):
             SuccessRegion(lower_db=40.0, upper_db=39.0)
+
+    def test_bisection_starts_from_sweep_flags(self, monkeypatch):
+        import qkdattack.analysis as analysis_mod
+
+        real = analysis_mod.optimize_yields
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "optimize_yields", counting)
+        region = success_region(REF, TABLE_USD, BASE, (33.0, 52.0, 1.0))
+        assert 33.0 < region.lower_db < region.upper_db < 52.0
+        steps = math.ceil(math.log2(1.0 / RESOLUTION_DB))  # halvings of a 1 dB bracket
+        # 20 grid points, the bisection steps of both endpoints, and the one
+        # probe that classifies the upper mechanism: the bracket ends are
+        # known from the sweep and are not evaluated again
+        assert len(calls) == 20 + 2 * steps + 1

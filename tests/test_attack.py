@@ -9,14 +9,13 @@ from qkdattack.attack import (
     UsdPerformance,
     YieldPlan,
     attack_gains,
-    gain_targets,
     key_rate_upper,
     optimize_yields,
     solve_yield_lp,
     yields_from_plan,
 )
 from qkdattack.coherent import SourceConfig, poisson_tail
-from qkdattack.decoy import ChannelParams
+from qkdattack.decoy import ChannelParams, normal_gains
 from grid_oracle import grid_best_objective
 from reference_formulas import attack_gains_ref
 
@@ -139,8 +138,8 @@ class TestOptimizeYields:
         assert sol.constraint_residuals["gain_eq"] <= 1e-9
         assert sol.constraint_residuals["z_bounds"] <= 1e-12
         g = attack_gains(REF, TABLE_USD, sol.plan)
-        t_mu, t_nu = gain_targets(REF, reference_channel(38.0))
-        assert_allclose([g.q_mu_gain, g.q_nu_gain], [t_mu, t_nu], atol=1e-9)
+        t = normal_gains(REF, reference_channel(38.0))
+        assert_allclose([g.q_mu_gain, g.q_nu_gain], [t.q_mu_gain, t.q_nu_gain], atol=1e-9)
         assert_allclose(sol.rate_upper, key_rate_upper(REF, sol.y1_signal), rtol=1e-12)
 
     def test_error_constraints_never_lower_objective(self):

@@ -12,6 +12,7 @@ import pytest
 
 from qkdattack import cli
 from qkdattack.cli import CONFIG_ENV_VAR, ConfigError, UsageError, parse_config
+from qkdattack.defaults import DEFAULT_CONFIG
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,7 +28,9 @@ class TestParseConfig:
         assert rc.source.mu == 0.5 and rc.source.nu == 0.1
         assert rc.channel.y0 == 1e-7 and rc.channel.e_d == 0.02
         assert rc.channel.loss_db == pytest.approx(40.0, rel=1e-12)
-        assert rc.detector_efficiency == 0.05
+        with pytest.raises(ConfigError, match="unknown field") as err:
+            parse_config(overrides=["channel.detector_efficiency=0.05"])
+        assert err.value.path == "channel.detector_efficiency"
         assert rc.usd.q_mu == 1.18e-3 and rc.usd.xi_nu == 0.9837
         assert rc.n_trunc == 20 and rc.enforce_errors is False
 
@@ -225,6 +228,61 @@ class TestCommands:
             os.close(write_fd)
         assert proc.returncode == 0
         assert proc.stderr == b""
+
+
+def _invalid_field_values():
+    """(field, --set text) pairs of a wrong type, or not finite, per schema field."""
+    kinds = {f"{section}.{name}": type(value)
+             for section, fields in DEFAULT_CONFIG.items() for name, value in fields.items()}
+    kinds.update({"channel.eta": float, "usd.ideal": str})
+    for path, kind in kinds.items():
+        if kind is str:
+            yield path, "5"
+        elif kind is bool:
+            yield path, "1"
+            yield path, '"true"'
+        else:
+            yield from ((path, text) for text in ("abc", "true", "NaN", "Infinity", "-Infinity"))
+
+
+def _assert_usage_error(argv, capsys, path):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}")
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("path,text", list(_invalid_field_values()))
+    def test_field_type_and_finiteness(self, path, text, capsys):
+        _assert_usage_error(["usd", "--set", f"{path}={text}"], capsys, f"{path}: ")
+
+    @pytest.mark.parametrize("argv,path", [
+        (["sweep", "--set", "sweep.start_db=-1", "--set", "sweep.end_db=1",
+          "--set", "sweep.step_db=1"], "sweep.start_db: "),
+        (["crossover", "--set", "sweep.end_db=4000"], "sweep.end_db: "),
+        (["usd", "--set", "channel.loss_db=-10000"], "channel: "),
+        (["simulate", "--set", "mc.seed=-1"], "mc.seed: "),
+    ])
+    def test_ranges(self, argv, path, capsys, tmp_path):
+        out = tmp_path / "never.txt"
+        _assert_usage_error(argv + ["--out", str(out)], capsys, path)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,path", [
+        ({"source": 5}, "source: "),
+        ({"mc": None}, "mc: "),
+        ([1], "config root"),
+    ])
+    @pytest.mark.parametrize("overrides", [[], ["--set", "mc.seed=3"]])
+    def test_sections_must_be_objects(self, config, path, overrides, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        _assert_usage_error(["usd", "--config", str(cfg)] + overrides, capsys, path)
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.txt"
+        _assert_usage_error(["usd", "--out", str(out)], capsys, f"cannot write {out}: ")
 
 
 def _readme_console_examples():

@@ -1,10 +1,16 @@
 """Tests for coherent-state overlaps, USD probabilities, and the POVM."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
+import qkdattack
 from qkdattack.coherent import (
     SourceConfig,
     build_usd_povm,
@@ -130,6 +136,24 @@ class TestPoisson:
             c = min_cutoff_for_tail(mean)
             assert poisson_tail(mean, c) < 1e-10
             assert poisson_tail(mean, c - 1) >= 1e-10
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-9, 0.05, 0.1, 0.25, 0.5, 1.0, 4.0, 20.0])
+    def test_bits_match_scipy_stats(self, mean):
+        k = np.arange(61)
+        assert poisson_pmf(mean, k).tobytes() == stats.poisson.pmf(k, mean).tobytes()
+        for i in (0, 1, 20, 60):
+            assert repr(poisson_pmf(mean, i)) == repr(float(stats.poisson.pmf(i, mean)))
+            assert repr(poisson_tail(mean, i)) == repr(float(stats.poisson.sf(i, mean)))
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(qkdattack.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, qkdattack, qkdattack.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestCoherentVector:

@@ -22,7 +22,7 @@ from qkdattack.attack import (
     solve_yield_lp,
 )
 from qkdattack.coherent import SourceConfig, _poisson_weights
-from qkdattack.decoy import ChannelParams
+from qkdattack.decoy import ChannelParams, normal_gains
 
 N_TRUNC = 20
 REF = SourceConfig(mu=0.5, nu=0.1)
@@ -100,8 +100,9 @@ def lp_points(draw):
 @given(lp_points())
 def test_screen_matches_unscreened_linprog(point):
     cfg, usd, ch, enforce_errors = point
-    t_mu, t_nu = attack.gain_targets(cfg, ch)
-    budgets = attack.error_budgets(cfg, ch) if enforce_errors else None
+    t = normal_gains(cfg, ch)
+    t_mu, t_nu = t.q_mu_gain, t.q_nu_gain
+    budgets = (t.emu_qmu, t.enu_qnu) if enforce_errors else None
     args = (cfg.mu, cfg.nu, usd.q_mu, usd.q_nu, usd.xi_mu, usd.xi_nu, N_TRUNC, t_mu, t_nu)
     ref = unscreened_lp(*args, budgets=budgets)
 
