@@ -27,13 +27,10 @@ from .attack import (
     yields_from_plan,
 )
 from .coherent import (
-    CoherentVector,
-    FockOperator,
     SourceConfig,
     build_usd_povm,
     coherent_vector,
     failure_probability,
-    min_cutoff_for_tail,
     poisson_pmf,
     usd_success_linear_optics,
     usd_success_optimal,
@@ -54,14 +51,10 @@ from .decoy import (
     total_loss_db,
 )
 from .montecarlo import (
-    EmpiricalStats,
-    PulseRecord,
-    StabilitySummary,
     StateKind,
     TrialConfig,
     UsdOutcome,
     ingest_stability_series,
-    pulse_records,
     read_stability_csv,
     run_trials,
     sample_pulses,

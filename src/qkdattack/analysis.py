@@ -119,7 +119,8 @@ def sweep(
     """Evaluate both bounds on a loss grid, ordered by loss.
 
     The grid is start, start + step, ... up to and including end, with
-    losses quantized to 1e-6 dB so refined grids share points exactly.
+    losses quantized to 1e-6 dB so refined grids share points exactly; a
+    step below that quantum raises ValueError.
     ch_base supplies the background and misalignment parameters; its eta is
     replaced per point. Per-point evaluation is pure, so rows depend only
     on their own loss value. A point whose evaluation fails becomes an
@@ -134,11 +135,13 @@ def sweep(
         )
     if step_db <= 0:
         raise ValueError(f"step_db must be positive, got {step_db}")
+    if step_db < _MICRO_DB:
+        raise ValueError(f"step_db must be at least {_MICRO_DB} dB, got {step_db}")
     if cfg.nu <= 0.0:
         raise ValueError(f"sweep needs a decoy intensity nu > 0, got {cfg.nu}")
     start_u = _quantize(loss_start_db)
     end_u = _quantize(loss_end_db)
-    step_u = max(1, _quantize(step_db))
+    step_u = _quantize(step_db)
     rows = []
     for k in range(0, (end_u - start_u) // step_u + 1):
         loss = (start_u + k * step_u) * _MICRO_DB
@@ -157,23 +160,6 @@ def sweep(
             )
         rows.append(row)
     return rows
-
-
-def _bound_gap(
-    cfg: SourceConfig,
-    usd: UsdPerformance,
-    ch_base: ChannelParams,
-    loss_db: float,
-    n_trunc: int,
-    enforce_errors: bool,
-) -> float | None:
-    """r_lower - r_upper at one loss, or None when infeasible."""
-    ch = ch_base.at_loss_db(loss_db)
-    r_low, _, _ = believed_rate(cfg, ch)
-    sol = optimize_yields(cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors)
-    if not sol.feasible:
-        return None
-    return r_low - sol.rate_upper
 
 
 def find_crossover(
@@ -195,7 +181,11 @@ def find_crossover(
         raise ValueError("bracket_lo_db must be below bracket_hi_db")
 
     def gap(loss):
-        return _bound_gap(cfg, usd, ch_base, loss, n_trunc, enforce_errors)
+        row = evaluate_point(
+            cfg, usd, ch_base.at_loss_db(loss),
+            n_trunc=n_trunc, enforce_errors=enforce_errors,
+        )
+        return row.r_lower - row.r_upper if row.feasible else None
 
     g_lo = gap(bracket_lo_db)
     g_hi = gap(bracket_hi_db)
@@ -262,12 +252,14 @@ def success_region(
             f"no attack-success point in [{start}, {end}] dB at step {step}"
         )
 
-    def succeeds(loss):
-        ch = ch_base.at_loss_db(loss)
-        row = evaluate_point(
-            cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors
+    def point(loss):
+        return evaluate_point(
+            cfg, usd, ch_base.at_loss_db(loss),
+            n_trunc=n_trunc, enforce_errors=enforce_errors,
         )
-        return row.attack_success
+
+    def succeeds(loss):
+        return point(loss).attack_success
 
     first = flags.index(True)
     if first == 0:
@@ -285,10 +277,7 @@ def success_region(
     )
 
     # classify what breaks the success predicate just above the endpoint
-    probe = evaluate_point(
-        cfg, usd, ch_base.at_loss_db(failing),
-        n_trunc=n_trunc, enforce_errors=enforce_errors,
-    )
+    probe = point(failing)
     if not probe.feasible:
         mechanism = "infeasible"
     elif probe.r_lower <= 0.0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -117,17 +117,22 @@ class YieldPlan:
 
 @dataclass(frozen=True)
 class AttackSolution:
-    """Outcome of the yield optimization at one channel point.
+    """Outcome of the yield LP, and of the optimization built on it.
 
-    When the statistics cannot be reproduced, feasible is False and the
-    remaining fields are None; that is a normal outcome, not an error.
+    z is the raw stacked [z_mu, z_nu] before clamping and objective its
+    Y_1^s; solve_yield_lp fills only these. optimize_yields adds the
+    clamped plan, its Y_1^s, R^u and the constraint residuals. When the
+    statistics cannot be reproduced, feasible is False and the remaining
+    fields are empty; that is a normal outcome, not an error.
     """
 
     feasible: bool
-    plan: YieldPlan | None
-    y1_signal: float | None
-    rate_upper: float | None
-    constraint_residuals: dict[str, float]
+    z: np.ndarray | None = None
+    objective: float | None = None
+    plan: YieldPlan | None = None
+    y1_signal: float | None = None
+    rate_upper: float | None = None
+    constraint_residuals: dict[str, float] = field(default_factory=dict)
 
 
 def yields_from_plan(
@@ -168,15 +173,6 @@ def attack_gains(cfg: SourceConfig, usd: UsdPerformance, plan: YieldPlan) -> Gai
     )
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    """Raw output of the yield LP: stacked [z_mu, z_nu] before clamping."""
-
-    feasible: bool
-    z: np.ndarray | None
-    objective: float | None
-
-
 def solve_yield_lp(
     mu: float,
     nu: float,
@@ -189,7 +185,7 @@ def solve_yield_lp(
     target_nu: float,
     error_budget_mu: float | None = None,
     error_budget_nu: float | None = None,
-) -> LpSolution:
+) -> AttackSolution:
     """Minimize the single-photon signal yield subject to gain equalities.
 
     Variables are Z_i^mu, Z_i^nu in [0, 1] for i = 1..n_trunc. The gain
@@ -245,7 +241,7 @@ def solve_yield_lp(
     if short.any() and all(
         np.isfinite(x).all() for x in (c, a_eq_s, b_eq_s, a_ub_s, b_ub_s) if x is not None
     ):
-        return LpSolution(feasible=False, z=None, objective=None)
+        return AttackSolution(feasible=False)
 
     res = linprog(
         c,
@@ -257,10 +253,10 @@ def solve_yield_lp(
         method="highs",
     )
     if res.status == 2:
-        return LpSolution(feasible=False, z=None, objective=None)
+        return AttackSolution(feasible=False)
     if not res.success:
         raise RuntimeError(f"yield LP solver failed (status {res.status}): {res.message}")
-    return LpSolution(feasible=True, z=res.x.copy(), objective=float(c @ res.x))
+    return AttackSolution(feasible=True, z=res.x.copy(), objective=float(c @ res.x))
 
 
 def optimize_yields(
@@ -292,10 +288,7 @@ def optimize_yields(
         *((target.emu_qmu, target.enu_qnu) if enforce_errors else (None, None)),
     )
     if not sol.feasible:
-        return AttackSolution(
-            feasible=False, plan=None, y1_signal=None, rate_upper=None,
-            constraint_residuals={},
-        )
+        return sol
 
     plan = YieldPlan(
         n_trunc,
@@ -315,12 +308,9 @@ def optimize_yields(
             achieved.emu_qmu - target.emu_qmu, achieved.enu_qnu - target.enu_qnu
         )
     y1s = usd.q_mu * (usd.xi_mu * plan.z_mu[0] + (1.0 - usd.xi_mu) * plan.z_nu[0])
-    return AttackSolution(
-        feasible=True,
-        plan=plan,
-        y1_signal=float(y1s),
-        rate_upper=key_rate_upper(cfg, float(y1s)),
-        constraint_residuals=residuals,
+    return replace(
+        sol, plan=plan, y1_signal=float(y1s),
+        rate_upper=key_rate_upper(cfg, float(y1s)), constraint_residuals=residuals,
     )
 
 

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import analysis, coherent, montecarlo
 from .attack import UsdPerformance, optimize_yields
@@ -155,6 +155,8 @@ def build_config(raw: dict, overrides: list[str] = ()) -> RunConfig:
          f"must be one of {tuple(_IDEAL_USD)}, got {usd.get('ideal')!r}"),
         ("solver.n_trunc", sol["n_trunc"] >= 1, f"must be >= 1, got {sol['n_trunc']}"),
         ("sweep.step_db", sw["step_db"] > 0, f"must be positive, got {sw['step_db']}"),
+        ("sweep.step_db", sw["step_db"] >= analysis._MICRO_DB,
+         f"must be at least {analysis._MICRO_DB} dB, got {sw['step_db']}"),
         ("sweep.start_db", sw["start_db"] <= sw["end_db"],
          f"empty range: start_db {sw['start_db']} > end_db {sw['end_db']}"),
         ("mc.n_pulses", mc["n_pulses"] >= 1, f"must be >= 1, got {mc['n_pulses']}"),
@@ -303,15 +305,7 @@ def cmd_simulate(rc: RunConfig) -> str:
         "loss_db": rc.channel.loss_db,
         "n_pulses": rc.mc_n_pulses,
         "seed": rc.mc_seed,
-        "empirical": {
-            "q_mu_hat": stats.q_mu_hat, "q_mu_se": stats.q_mu_se,
-            "q_nu_hat": stats.q_nu_hat, "q_nu_se": stats.q_nu_se,
-            "xi_mu_hat": stats.xi_mu_hat, "xi_mu_se": stats.xi_mu_se,
-            "xi_nu_hat": stats.xi_nu_hat, "xi_nu_se": stats.xi_nu_se,
-            "gain_mu_hat": stats.gain_mu_hat, "gain_mu_se": stats.gain_mu_se,
-            "gain_nu_hat": stats.gain_nu_hat, "gain_nu_se": stats.gain_nu_se,
-            "n_signal": stats.n_signal, "n_decoy": stats.n_decoy,
-        },
+        "empirical": {k: v for k, v in asdict(stats).items() if k != "n_pulses"},
         "analytic": {
             "q_mu": rc.usd.q_mu, "q_nu": rc.usd.q_nu,
             "gain_mu": expected.q_mu_gain, "gain_nu": expected.q_nu_gain,

@@ -75,11 +75,6 @@ class CoherentVector:
     cutoff: int
     coeffs: np.ndarray
 
-    @property
-    def tail_mass(self) -> float:
-        """Poisson probability mass beyond the cutoff for mean |alpha|^2."""
-        return poisson_tail(abs(self.amplitude) ** 2, self.cutoff)
-
     def norm_squared(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
 
@@ -132,9 +127,9 @@ def usd_success_linear_optics(cfg: SourceConfig) -> float:
     """Success ceiling of the interferometric linear-optics USD.
 
     q_max = (1 - exp(-[(mu+nu)/4 - (sqrt(mu*nu)/2) cos(theta_s-theta_d)])) / 2,
-    which is exactly q_opt / 2 at zero relative phase.
+    which in this model is q_opt / 2 at every relative phase.
     """
-    return (1.0 - math.exp(-_overlap_exponent(cfg))) / 2.0
+    return usd_success_optimal(cfg) / 2.0
 
 
 def poisson_pmf(mean: float, i) -> float | np.ndarray:

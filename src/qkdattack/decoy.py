@@ -59,11 +59,21 @@ class ChannelParams:
 
     @classmethod
     def from_loss_db(cls, loss_db: float, y0: float = 0.0, e_d: float = 0.0) -> "ChannelParams":
-        return cls(eta=10.0 ** (-loss_db / 10.0), y0=y0, e_d=e_d)
+        return cls(eta=_eta(loss_db), y0=y0, e_d=e_d)
 
     def at_loss_db(self, loss_db: float) -> "ChannelParams":
         """Copy of these parameters at a different overall loss."""
-        return replace(self, eta=10.0 ** (-loss_db / 10.0))
+        return replace(self, eta=_eta(loss_db))
+
+
+def _eta(loss_db: float) -> float:
+    """eta = 10^(-loss_db/10); a loss too negative for a float is a ValueError."""
+    try:
+        return 10.0 ** (-loss_db / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"eta must be in (0, 1], got 10^{-loss_db / 10.0} for loss_db={loss_db}"
+        ) from None
 
 
 def total_loss_db(channel_loss_db: float, detector_efficiency: float) -> float:
@@ -117,10 +127,14 @@ class DecoyEstimates:
             raise ValueError("estimates must lie in [0, 1] after clamping")
 
 
-def _qber_products(cfg: SourceConfig, ch: ChannelParams) -> tuple[float, float]:
-    emu_qmu = ch.e0 * ch.y0 + ch.e_d * (1.0 - math.exp(-ch.eta * cfg.mu))
-    enu_qnu = ch.e0 * ch.y0 + ch.e_d * (1.0 - math.exp(-ch.eta * cfg.nu))
-    return emu_qmu, enu_qnu
+def _gains(cfg: SourceConfig, ch: ChannelParams, background: float) -> GainStats:
+    """Gains Q_alpha = background + 1 - e^(-eta*alpha); E*Q always has e0*Y0."""
+    return GainStats(
+        q_mu_gain=background + 1.0 - math.exp(-ch.eta * cfg.mu),
+        q_nu_gain=background + 1.0 - math.exp(-ch.eta * cfg.nu),
+        emu_qmu=ch.e0 * ch.y0 + ch.e_d * (1.0 - math.exp(-ch.eta * cfg.mu)),
+        enu_qnu=ch.e0 * ch.y0 + ch.e_d * (1.0 - math.exp(-ch.eta * cfg.nu)),
+    )
 
 
 def normal_gains(cfg: SourceConfig, ch: ChannelParams) -> GainStats:
@@ -130,13 +144,7 @@ def normal_gains(cfg: SourceConfig, ch: ChannelParams) -> GainStats:
     the targets an attacker must reproduce. See observed_gains for the
     receiver's measured statistics including background counts.
     """
-    emu_qmu, enu_qnu = _qber_products(cfg, ch)
-    return GainStats(
-        q_mu_gain=1.0 - math.exp(-ch.eta * cfg.mu),
-        q_nu_gain=1.0 - math.exp(-ch.eta * cfg.nu),
-        emu_qmu=emu_qmu,
-        enu_qnu=enu_qnu,
-    )
+    return _gains(cfg, ch, 0.0)
 
 
 def observed_gains(cfg: SourceConfig, ch: ChannelParams) -> GainStats:
@@ -145,13 +153,7 @@ def observed_gains(cfg: SourceConfig, ch: ChannelParams) -> GainStats:
     Background counts fire regardless of what arrives, so the statistics the
     communicating parties actually post-process include them.
     """
-    emu_qmu, enu_qnu = _qber_products(cfg, ch)
-    return GainStats(
-        q_mu_gain=ch.y0 + 1.0 - math.exp(-ch.eta * cfg.mu),
-        q_nu_gain=ch.y0 + 1.0 - math.exp(-ch.eta * cfg.nu),
-        emu_qmu=emu_qmu,
-        enu_qnu=enu_qnu,
-    )
+    return _gains(cfg, ch, ch.y0)
 
 
 def binary_entropy(e: float) -> float:

@@ -23,9 +23,6 @@ from .attack import UsdPerformance, YieldPlan, attack_gains
 from .coherent import SourceConfig
 from .decoy import GainStats
 
-#: BB84 encoding phases.
-BB84_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-
 # Eight uniform draws are reserved per pulse (five used); Philox emits four
 # doubles per counter step, so a block starting at pulse p resumes the
 # serial stream after advance(2 * p).
@@ -64,21 +61,6 @@ class TrialConfig:
 
 
 @dataclass(frozen=True)
-class PulseRecord:
-    """One sampled pulse of the attack chain."""
-
-    state_kind: StateKind
-    bb84_phase: float
-    photon_count: int
-    usd_outcome: UsdOutcome
-    forwarded: bool
-
-    def __post_init__(self):
-        if self.forwarded and self.usd_outcome == UsdOutcome.FAIL:
-            raise ValueError("inconclusive pulses are never forwarded")
-
-
-@dataclass(frozen=True)
 class EmpiricalStats:
     """Per-trial estimates with binomial standard errors.
 
@@ -104,7 +86,11 @@ class EmpiricalStats:
 
 
 def _poisson_cdf(mean: float, min_len: int) -> np.ndarray:
-    """CDF table long enough that the residual tail is below 1e-15."""
+    """CDF table long enough that the residual tail is below 1e-15.
+
+    Kept apart from coherent.poisson_pmf, which rounds differently: these
+    bits choose the sampled photon counts.
+    """
     k = max(min_len, 8)
     while True:
         n = np.arange(k + 1)
@@ -156,19 +142,13 @@ def sample_pulses(tc: TrialConfig, start: int = 0, count: int | None = None) -> 
         np.searchsorted(cdf_nu, u_ph, side="right"),
     )
 
-    # forwarding probability looked up by (concluded state, photon count);
-    # vacuum, inconclusive, and beyond-truncation pulses are never forwarded
-    max_photon = max(len(cdf_mu), len(cdf_nu)) + 1
-    z_mu_ext = np.zeros(max_photon)
-    z_nu_ext = np.zeros(max_photon)
-    z_mu_ext[1:n + 1] = tc.plan.z_mu
-    z_nu_ext[1:n + 1] = tc.plan.z_nu
-    photon_idx = np.minimum(photon, max_photon - 1)
-    z = np.where(
-        outcome == UsdOutcome.SIGNAL, z_mu_ext[photon_idx],
-        np.where(outcome == UsdOutcome.DECOY, z_nu_ext[photon_idx], 0.0),
-    )
-    forwarded = u[:, _SLOT_FORWARD] < z
+    # forwarding probability looked up by (outcome, photon count); vacuum,
+    # inconclusive, and beyond-truncation pulses are never forwarded, and
+    # searchsorted returns at most len(cdf), so every photon count has a column
+    z_table = np.zeros((3, max(len(cdf_mu), len(cdf_nu)) + 1))
+    z_table[UsdOutcome.SIGNAL, 1:n + 1] = tc.plan.z_mu
+    z_table[UsdOutcome.DECOY, 1:n + 1] = tc.plan.z_nu
+    forwarded = u[:, _SLOT_FORWARD] < z_table[outcome, photon]
 
     return {
         "state": state,
@@ -177,24 +157,6 @@ def sample_pulses(tc: TrialConfig, start: int = 0, count: int | None = None) -> 
         "outcome": outcome,
         "forwarded": forwarded,
     }
-
-
-def pulse_records(tc: TrialConfig, count: int | None = None) -> list[PulseRecord]:
-    """First pulses of the trial as records; meant for small counts."""
-    arrays = sample_pulses(tc, 0, count if count is not None else min(tc.n_pulses, 1000))
-    return [
-        PulseRecord(
-            state_kind=StateKind(int(s)),
-            bb84_phase=BB84_PHASES[int(ph)],
-            photon_count=int(k),
-            usd_outcome=UsdOutcome(int(o)),
-            forwarded=bool(f),
-        )
-        for s, ph, k, o, f in zip(
-            arrays["state"], arrays["phase_index"], arrays["photon"],
-            arrays["outcome"], arrays["forwarded"],
-        )
-    ]
 
 
 def _ratio_se(successes: int, trials: int) -> tuple[float, float]:
@@ -212,22 +174,17 @@ def run_trials(tc: TrialConfig, block_size: int = _DEFAULT_BLOCK) -> EmpiricalSt
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    n_sig = n_dec = 0
-    concl_sig = concl_dec = 0
-    correct_sig = correct_dec = 0
-    fwd_sig = fwd_dec = 0
+    tally = np.zeros(12, dtype=np.int64)
     for start in range(0, tc.n_pulses, block_size):
         arr = sample_pulses(tc, start, min(block_size, tc.n_pulses - start))
-        signal = arr["state"] == StateKind.SIGNAL
-        conclusive = arr["outcome"] != UsdOutcome.FAIL
-        n_sig += int(np.sum(signal))
-        n_dec += int(np.sum(~signal))
-        concl_sig += int(np.sum(conclusive & signal))
-        concl_dec += int(np.sum(conclusive & ~signal))
-        correct_sig += int(np.sum(signal & (arr["outcome"] == UsdOutcome.SIGNAL)))
-        correct_dec += int(np.sum(~signal & (arr["outcome"] == UsdOutcome.DECOY)))
-        fwd_sig += int(np.sum(arr["forwarded"] & signal))
-        fwd_dec += int(np.sum(arr["forwarded"] & ~signal))
+        cell = (arr["state"] * 3 + arr["outcome"]) * 2 + arr["forwarded"]
+        tally += np.bincount(cell, minlength=12)
+    t = tally.reshape(2, 3, 2)  # [state, outcome, forwarded]
+    # per sent state, as Python ints; a correct outcome names the sent state
+    n_sig, n_dec = t.sum(axis=(1, 2)).tolist()
+    concl_sig, concl_dec = t[:, :UsdOutcome.FAIL].sum(axis=(1, 2)).tolist()
+    correct_sig, correct_dec = t[[0, 1], [0, 1]].sum(axis=1).tolist()
+    fwd_sig, fwd_dec = t[:, :, 1].sum(axis=1).tolist()
 
     q_mu, q_mu_se = _ratio_se(concl_sig, n_sig)
     q_nu, q_nu_se = _ratio_se(concl_dec, n_dec)

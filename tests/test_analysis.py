@@ -39,6 +39,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(REF, TABLE_USD, BASE, 30.0, 40.0, 0.0)
 
+    def test_rejects_step_below_grid_quantum(self):
+        with pytest.raises(ValueError, match="step_db must be at least 1e-06 dB"):
+            sweep(REF, TABLE_USD, BASE, 36.0, 36.000003, 1e-9)
+
     def test_rows_ordered_and_labeled(self):
         rows = sweep(REF, TABLE_USD, BASE, 35.0, 38.0, 0.5)
         losses = [r.loss_db for r in rows]

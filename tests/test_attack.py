@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qkdattack.attack import (
+    AttackSolution,
     UsdPerformance,
     YieldPlan,
     attack_gains,
@@ -164,6 +165,14 @@ class TestOptimizeYields:
             ]
             # once feasible, stays feasible at higher loss
             assert flags == sorted(flags)
+
+    def test_infeasible_result_is_empty(self):
+        ch = reference_channel(0.0)
+        t = normal_gains(REF, ch)
+        lp = solve_yield_lp(REF.mu, REF.nu, TABLE_USD.q_mu, TABLE_USD.q_nu,
+                            TABLE_USD.xi_mu, TABLE_USD.xi_nu, 20, t.q_mu_gain, t.q_nu_gain)
+        for sol in (lp, optimize_yields(REF, TABLE_USD, ch)):
+            assert sol == AttackSolution(feasible=False)  # every later field empty
 
     def test_zero_capacity_attacker_infeasible(self):
         usd = UsdPerformance(q_mu=0.0, q_nu=0.0)

@@ -263,11 +263,19 @@ class TestInvalidInput:
         (["crossover", "--set", "sweep.end_db=4000"], "sweep.end_db: "),
         (["usd", "--set", "channel.loss_db=-10000"], "channel: "),
         (["simulate", "--set", "mc.seed=-1"], "mc.seed: "),
+        (["sweep", "--set", "sweep.start_db=36", "--set", "sweep.end_db=36.000003",
+          "--set", "sweep.step_db=1e-9"], "sweep.step_db: "),
     ])
     def test_ranges(self, argv, path, capsys, tmp_path):
         out = tmp_path / "never.txt"
         _assert_usage_error(argv + ["--out", str(out)], capsys, path)
         assert not out.exists()
+
+    def test_overflowing_loss_names_the_loss(self, capsys):
+        assert cli.main(["usd", "--set", "channel.loss_db=-4000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel: ") and "loss_db=-4000" in err
+        assert "Numerical result out of range" not in err
 
     @pytest.mark.parametrize("config,path", [
         ({"source": 5}, "source: "),

@@ -42,6 +42,15 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(eta=0.5, e0=0.4)
 
+    @pytest.mark.parametrize("build", [
+        ChannelParams.from_loss_db, ChannelParams(eta=0.5).at_loss_db,
+    ], ids=["from_loss_db", "at_loss_db"])
+    def test_overflowing_loss_is_value_error(self, build):
+        with pytest.raises(ValueError, match=r"for loss_db=-4000\.0$"):
+            build(-4000.0)
+        with pytest.raises(ValueError, match=r"^eta must be in \(0, 1\], got 1\.2589"):
+            build(-1.0)
+
     def test_loss_round_trip(self):
         ch = ChannelParams.from_loss_db(36.3)
         assert_allclose(ch.loss_db, 36.3, rtol=1e-12)

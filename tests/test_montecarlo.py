@@ -10,13 +10,11 @@ from qkdattack.attack import UsdPerformance, YieldPlan, optimize_yields
 from qkdattack.coherent import SourceConfig
 from qkdattack.decoy import ChannelParams
 from qkdattack.montecarlo import (
-    PulseRecord,
     StateKind,
     TrialConfig,
     UsdOutcome,
     expected_gains,
     ingest_stability_series,
-    pulse_records,
     read_stability_csv,
     run_trials,
     sample_pulses,
@@ -90,24 +88,32 @@ class TestSampling:
         p = scipy_stats.chi2_contingency(table).pvalue
         assert p > 1e-3
 
-    def test_pulse_records_match_arrays(self, optimized_plan):
-        tc = _trial(optimized_plan, n=500, seed=23)
-        records = pulse_records(tc, 500)
+    def test_tally_matches_sampled_arrays(self):
+        # xi < 1 and yields strictly inside (0, 1) reach every (state,
+        # outcome, forwarded) cell except the never-forwarded inconclusive ones
+        usd = UsdPerformance(q_mu=0.3, q_nu=0.25, xi_mu=0.8, xi_nu=0.7)
+        plan = YieldPlan(20, np.full(20, 0.5), np.full(20, 0.4))
+        tc = TrialConfig(n_pulses=20_000, seed=31, cfg=REF, usd=usd, plan=plan)
+        stats = run_trials(tc, block_size=777)
         arr = sample_pulses(tc)
-        assert len(records) == 500
-        for i in (0, 123, 499):
-            rec = records[i]
-            assert rec.state_kind == arr["state"][i]
-            assert rec.photon_count == arr["photon"][i]
-            assert rec.forwarded == arr["forwarded"][i]
-            assert rec.bb84_phase in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-
-    def test_record_invariant(self):
-        with pytest.raises(ValueError):
-            PulseRecord(
-                state_kind=StateKind.SIGNAL, bb84_phase=0.0, photon_count=2,
-                usd_outcome=UsdOutcome.FAIL, forwarded=True,
-            )
+        state, outcome, fwd = arr["state"], arr["outcome"], arr["forwarded"]
+        for s in StateKind:
+            for o in UsdOutcome:
+                for f in (False, True):
+                    n = int(np.sum((state == s) & (outcome == o) & (fwd == f)))
+                    assert (n == 0) == (o == UsdOutcome.FAIL and f), (s, o, f)
+        sig = state == StateKind.SIGNAL
+        n_sig, n_dec = int(np.sum(sig)), int(np.sum(~sig))
+        concl = outcome != UsdOutcome.FAIL
+        assert (stats.n_signal, stats.n_decoy) == (n_sig, n_dec)
+        assert stats.q_mu_hat == int(np.sum(sig & concl)) / n_sig
+        assert stats.q_nu_hat == int(np.sum(~sig & concl)) / n_dec
+        assert stats.xi_mu_hat == (int(np.sum(sig & (outcome == UsdOutcome.SIGNAL)))
+                                   / int(np.sum(sig & concl)))
+        assert stats.xi_nu_hat == (int(np.sum(~sig & (outcome == UsdOutcome.DECOY)))
+                                   / int(np.sum(~sig & concl)))
+        assert stats.gain_mu_hat == int(np.sum(sig & fwd)) / n_sig
+        assert stats.gain_nu_hat == int(np.sum(~sig & fwd)) / n_dec
 
 
 class TestStatisticalConsistency:
