@@ -20,44 +20,24 @@ from .attack import (
     AttackSolution,
     UsdPerformance,
     YieldPlan,
-    attack_gains,
-    key_rate_upper,
     optimize_yields,
-    solve_yield_lp,
-    yields_from_plan,
 )
 from .coherent import (
     SourceConfig,
     build_usd_povm,
     coherent_vector,
     failure_probability,
-    poisson_pmf,
     usd_success_linear_optics,
     usd_success_optimal,
 )
 from .decoy import (
     ChannelParams,
-    DecoyEstimates,
-    EstimateUndefined,
-    GainStats,
-    believed_rate,
-    binary_entropy,
-    key_rate_lower,
-    normal_gains,
-    observed_gains,
-    one_decoy_e1_upper,
-    one_decoy_estimates,
-    one_decoy_y1_lower,
     total_loss_db,
 )
 from .montecarlo import (
-    StateKind,
     TrialConfig,
-    UsdOutcome,
     ingest_stability_series,
-    read_stability_csv,
     run_trials,
-    sample_pulses,
 )
 
 __version__ = "0.1.0"

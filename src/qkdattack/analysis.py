@@ -9,6 +9,7 @@ believed rate is positive so the parties do not abort).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .attack import DEFAULT_N_TRUNC, UsdPerformance, optimize_yields
 from .coherent import SourceConfig
@@ -120,7 +121,7 @@ def sweep(
 
     The grid is start, start + step, ... up to and including end, with
     losses quantized to 1e-6 dB so refined grids share points exactly; a
-    step below that quantum raises ValueError.
+    step below or off that quantum raises ValueError.
     ch_base supplies the background and misalignment parameters; its eta is
     replaced per point. Per-point evaluation is pure, so rows depend only
     on their own loss value. A point whose evaluation fails becomes an
@@ -142,6 +143,8 @@ def sweep(
     start_u = _quantize(loss_start_db)
     end_u = _quantize(loss_end_db)
     step_u = _quantize(step_db)
+    if abs(step_u * _MICRO_DB - step_db) > 1e-9 * step_db:
+        raise ValueError(f"step_db must be a multiple of {_MICRO_DB} dB, got {step_db}")
     rows = []
     for k in range(0, (end_u - start_u) // step_u + 1):
         loss = (start_u + k * step_u) * _MICRO_DB
@@ -179,52 +182,51 @@ def find_crossover(
     """
     if not bracket_lo_db < bracket_hi_db:
         raise ValueError("bracket_lo_db must be below bracket_hi_db")
-
-    def gap(loss):
-        row = evaluate_point(
-            cfg, usd, ch_base.at_loss_db(loss),
-            n_trunc=n_trunc, enforce_errors=enforce_errors,
-        )
-        return row.r_lower - row.r_upper if row.feasible else None
-
-    g_lo = gap(bracket_lo_db)
-    g_hi = gap(bracket_hi_db)
-    bad = [L for L, g in ((bracket_lo_db, g_lo), (bracket_hi_db, g_hi)) if g is None]
+    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors)
+    lo_row, hi_row = point(bracket_lo_db), point(bracket_hi_db)
+    bad = [L for L, r in ((bracket_lo_db, lo_row), (bracket_hi_db, hi_row))
+           if not r.feasible]
     if bad:
         raise InfeasibleBracketError(
             f"no feasible attack at bracket endpoint(s) {bad} dB"
         )
+    g_lo, g_hi = (r.r_lower - r.r_upper for r in (lo_row, hi_row))
     if (g_lo > 0) == (g_hi > 0):
         raise NoBracketError(
             f"r_lower - r_upper has the same sign at {bracket_lo_db} dB "
             f"({g_lo:.3e}) and {bracket_hi_db} dB ({g_hi:.3e})"
         )
-
-    def positive(loss):
-        # an infeasible point has no attainable upper bound, so it sits on
-        # the attack-failing side of the crossing (gap effectively -inf)
-        g = gap(loss)
-        return g is not None and g > 0
-
-    crossover, _, _ = _bisect_flag(positive, bracket_lo_db, bracket_hi_db, g_lo > 0)
+    # an infeasible point has no attainable upper bound, so it sits on the
+    # attack-failing side of the crossing (gap effectively -inf)
+    crossover, _ = _bisect(
+        point, lambda r: r.feasible and r.r_lower - r.r_upper > 0,
+        bracket_lo_db, bracket_hi_db, hi_row,
+    )
     return crossover
 
 
-def _bisect_flag(
-    predicate, lo: float, hi: float, p_lo: bool
-) -> tuple[float, float, float]:
-    """Boundary of a boolean predicate that is p_lo at lo and not at hi.
+def _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors):
+    """point(loss): evaluate_point with ch_base moved to that loss."""
+    return lambda loss: evaluate_point(
+        cfg, usd, ch_base.at_loss_db(loss), n_trunc=n_trunc, enforce_errors=enforce_errors
+    )
 
-    Returns (midpoint, final_lo, final_hi); the final endpoints keep the
-    predicate values the initial ones had.
+
+def _bisect(point, flag, lo: float, hi: float, hi_row: SweepRow) -> tuple[float, SweepRow]:
+    """Boundary of flag(point(loss)), which holds at lo exactly when not at hi.
+
+    hi_row is point(hi). Returns (midpoint, row at the final hi); the final
+    endpoints keep the flags the initial ones had.
     """
+    lo_flag = not flag(hi_row)
     while hi - lo > RESOLUTION_DB:
         mid = 0.5 * (lo + hi)
-        if predicate(mid) == p_lo:
+        row = point(mid)
+        if flag(row) == lo_flag:
             lo = mid
         else:
-            hi = mid
-    return 0.5 * (lo + hi), lo, hi
+            hi, hi_row = mid, row
+    return 0.5 * (lo + hi), hi_row
 
 
 def success_region(
@@ -252,35 +254,27 @@ def success_region(
             f"no attack-success point in [{start}, {end}] dB at step {step}"
         )
 
-    def point(loss):
-        return evaluate_point(
-            cfg, usd, ch_base.at_loss_db(loss),
-            n_trunc=n_trunc, enforce_errors=enforce_errors,
-        )
-
-    def succeeds(loss):
-        return point(loss).attack_success
-
+    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors)
+    succeeds = attrgetter("attack_success")
     first = flags.index(True)
     if first == 0:
         lower = rows[0].loss_db
     else:
-        lower, _, _ = _bisect_flag(
-            succeeds, rows[first - 1].loss_db, rows[first].loss_db, False
+        lower, _ = _bisect(
+            point, succeeds, rows[first - 1].loss_db, rows[first].loss_db, rows[first]
         )
 
     after = next((j for j in range(first + 1, len(rows)) if not flags[j]), None)
     if after is None:
         return SuccessRegion(lower_db=lower, upper_db=None, upper_mechanism=None)
-    upper, _, failing = _bisect_flag(
-        succeeds, rows[after - 1].loss_db, rows[after].loss_db, True
+    upper, failing = _bisect(
+        point, succeeds, rows[after - 1].loss_db, rows[after].loss_db, rows[after]
     )
 
     # classify what breaks the success predicate just above the endpoint
-    probe = point(failing)
-    if not probe.feasible:
+    if not failing.feasible:
         mechanism = "infeasible"
-    elif probe.r_lower <= 0.0:
+    elif failing.r_lower <= 0.0:
         mechanism = "rate_abort"
     else:
         mechanism = "bound_recross"

@@ -21,7 +21,6 @@ from scipy.optimize import linprog
 from .coherent import (
     SourceConfig,
     _poisson_weights,
-    usd_success_linear_optics,
     usd_success_optimal,
 )
 from .decoy import ChannelParams, GainStats, normal_gains
@@ -58,25 +57,17 @@ class UsdPerformance:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
-    def validate_against(self, cfg: SourceConfig, ceiling: str = "optimal") -> None:
-        """Check the success probabilities against a theoretical ceiling.
+    def validate_against(self, cfg: SourceConfig) -> None:
+        """Check the success probabilities against the optimal-USD ceiling.
 
-        ceiling="optimal" allows anything up to the optimal-USD success
-        probability; ceiling="linear_optics" enforces the interferometric
-        implementation's ceiling of half that value. A 1% relative
-        allowance tolerates probabilities quoted to a few significant
-        figures.
+        A 1% relative allowance tolerates probabilities quoted to a few
+        significant figures.
         """
-        if ceiling == "optimal":
-            cap = usd_success_optimal(cfg)
-        elif ceiling == "linear_optics":
-            cap = usd_success_linear_optics(cfg)
-        else:
-            raise ValueError(f"unknown ceiling {ceiling!r}")
+        cap = usd_success_optimal(cfg)
         for name, v in (("q_mu", self.q_mu), ("q_nu", self.q_nu)):
             if v > cap * 1.01 + 1e-12:
                 raise ValueError(
-                    f"{name}={v} exceeds the {ceiling} USD ceiling {cap:.6g} "
+                    f"{name}={v} exceeds the optimal USD ceiling {cap:.6g} "
                     f"for this source"
                 )
 
@@ -202,56 +193,33 @@ def solve_yield_lp(
     more than GAIN_CEILING_MARGIN, the point is reported infeasible without
     calling the solver.
     """
-    p_mu, _ = _poisson_weights(mu, n_trunc)
-    p_nu, _ = _poisson_weights(nu, n_trunc)
-
-    c = np.zeros(2 * n_trunc)
-    c[0] = q_mu * xi_mu
-    c[n_trunc] = q_mu * (1.0 - xi_mu)
-
-    a_eq = np.zeros((2, 2 * n_trunc))
-    a_eq[0, :n_trunc] = q_mu * xi_mu * p_mu
-    a_eq[0, n_trunc:] = q_mu * (1.0 - xi_mu) * p_mu
-    a_eq[1, :n_trunc] = q_nu * (1.0 - xi_nu) * p_nu
-    a_eq[1, n_trunc:] = q_nu * xi_nu * p_nu
-    b_eq = np.array([target_mu, target_nu])
-
-    a_ub = b_ub = None
+    # rows: signal / decoy intensity; columns: Z^mu / Z^nu
+    mix = np.array([[q_mu * xi_mu, q_mu * (1.0 - xi_mu)],
+                    [q_nu * (1.0 - xi_nu), q_nu * xi_nu]])
+    tables, b = [mix], [target_mu, target_nu]
     if error_budget_mu is not None or error_budget_nu is not None:
         if error_budget_mu is None or error_budget_nu is None:
             raise ValueError("error budgets must be given for both intensities")
-        a_ub = np.zeros((2, 2 * n_trunc))
-        a_ub[0, n_trunc:] = 0.5 * q_mu * (1.0 - xi_mu) * p_mu
-        a_ub[1, :n_trunc] = 0.5 * q_nu * (1.0 - xi_nu) * p_nu
-        b_ub = np.array([error_budget_mu, error_budget_nu])
+        # only misidentified forwardings err, each with probability 1/2
+        tables.append([[0.0, 0.5 * q_mu * (1.0 - xi_mu)],
+                       [0.5 * q_nu * (1.0 - xi_nu), 0.0]])
+        b += [error_budget_mu, error_budget_nu]
+    p = np.array([_poisson_weights(mu, n_trunc)[0], _poisson_weights(nu, n_trunc)[0]])
+    a = (np.array(tables)[..., None] * p[:, None, :]).reshape(len(b), 2 * n_trunc)
+    b = np.array(b)
+    c = np.zeros(2 * n_trunc)
+    c[[0, n_trunc]] = mix[0]  # Y_1^s
+    s = np.where(b > 0, b, 1.0)
+    a_s, b_s = a / s[:, None], b / s
 
-    def scaled(a, b):
-        s = np.where(b > 0, b, 1.0)
-        return a / s[:, None], b / s
-
-    a_eq_s, b_eq_s = scaled(a_eq, b_eq)
-    if a_ub is not None:
-        a_ub_s, b_ub_s = scaled(a_ub, b_ub)
-    else:
-        a_ub_s = b_ub_s = None
-
-    ceiling = np.clip(a_eq, 0.0, None).sum(axis=1)
-    short = (b_eq > 0.0) & (ceiling < b_eq * (1.0 - GAIN_CEILING_MARGIN))
+    ceiling = np.clip(a[:2], 0.0, None).sum(axis=1)
+    short = (b[:2] > 0.0) & (ceiling < b[:2] * (1.0 - GAIN_CEILING_MARGIN))
     # non-finite inputs still go to linprog, which rejects them with ValueError
-    if short.any() and all(
-        np.isfinite(x).all() for x in (c, a_eq_s, b_eq_s, a_ub_s, b_ub_s) if x is not None
-    ):
+    if short.any() and all(np.isfinite(x).all() for x in (c, a_s, b_s)):
         return AttackSolution(feasible=False)
 
-    res = linprog(
-        c,
-        A_ub=a_ub_s,
-        b_ub=b_ub_s,
-        A_eq=a_eq_s,
-        b_eq=b_eq_s,
-        bounds=[(0.0, 1.0)] * (2 * n_trunc),
-        method="highs",
-    )
+    res = linprog(c, A_ub=a_s[2:], b_ub=b_s[2:], A_eq=a_s[:2], b_eq=b_s[:2],
+                  bounds=[(0.0, 1.0)] * (2 * n_trunc), method="highs")
     if res.status == 2:
         return AttackSolution(feasible=False)
     if not res.success:

@@ -157,6 +157,9 @@ def build_config(raw: dict, overrides: list[str] = ()) -> RunConfig:
         ("sweep.step_db", sw["step_db"] > 0, f"must be positive, got {sw['step_db']}"),
         ("sweep.step_db", sw["step_db"] >= analysis._MICRO_DB,
          f"must be at least {analysis._MICRO_DB} dB, got {sw['step_db']}"),
+        ("sweep.step_db", abs(analysis._quantize(sw["step_db"]) * analysis._MICRO_DB
+                              - sw["step_db"]) <= 1e-9 * sw["step_db"],
+         f"must be a multiple of {analysis._MICRO_DB} dB, got {sw['step_db']}"),
         ("sweep.start_db", sw["start_db"] <= sw["end_db"],
          f"empty range: start_db {sw['start_db']} > end_db {sw['end_db']}"),
         ("mc.n_pulses", mc["n_pulses"] >= 1, f"must be >= 1, got {mc['n_pulses']}"),

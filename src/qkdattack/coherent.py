@@ -166,10 +166,10 @@ def _poisson_weights(mean: float, n_trunc: int) -> tuple[np.ndarray, float]:
     return pmf, poisson_tail(mean, n_trunc)
 
 
-def min_cutoff_for_tail(mean: float, tail_tol: float = POVM_TAIL_TOL) -> int:
-    """Smallest cutoff whose Poisson tail mass is below tail_tol."""
+def min_cutoff_for_tail(mean: float) -> int:
+    """Smallest cutoff whose Poisson tail mass is below POVM_TAIL_TOL."""
     c = 1
-    while poisson_tail(mean, c) >= tail_tol:
+    while poisson_tail(mean, c) >= POVM_TAIL_TOL:
         c += 1
     return c
 

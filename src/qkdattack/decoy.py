@@ -16,6 +16,10 @@ from dataclasses import dataclass, replace
 from .coherent import SourceConfig
 
 
+#: Error rate of a background count: a random click is wrong half the time.
+E0 = 0.5
+
+
 class EstimateUndefined(ValueError):
     """Raised when a decoy estimate has no defined value (zero yield bound)."""
 
@@ -30,17 +34,15 @@ class ChannelParams:
         Overall efficiency in (0, 1], channel transmittance times detector
         efficiency.
     y0 : float
-        Background count rate per pulse (dark counts plus stray light).
+        Background count rate per pulse (dark counts plus stray light). A
+        background count errs with probability E0 = 1/2.
     e_d : float
         Misalignment error probability, in [0, 1/2].
-    e0 : float
-        Error rate of a background count, exactly 1/2.
     """
 
     eta: float
     y0: float = 0.0
     e_d: float = 0.0
-    e0: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -49,8 +51,6 @@ class ChannelParams:
             raise ValueError(f"y0 must be in [0, 1), got {self.y0}")
         if not 0.0 <= self.e_d <= 0.5:
             raise ValueError(f"e_d must be in [0, 1/2], got {self.e_d}")
-        if self.e0 != 0.5:
-            raise ValueError(f"e0 is fixed at 1/2, got {self.e0}")
 
     @property
     def loss_db(self) -> float:
@@ -128,12 +128,12 @@ class DecoyEstimates:
 
 
 def _gains(cfg: SourceConfig, ch: ChannelParams, background: float) -> GainStats:
-    """Gains Q_alpha = background + 1 - e^(-eta*alpha); E*Q always has e0*Y0."""
+    """Gains Q_alpha = background + 1 - e^(-eta*alpha); E*Q always has E0*Y0."""
     return GainStats(
         q_mu_gain=background + 1.0 - math.exp(-ch.eta * cfg.mu),
         q_nu_gain=background + 1.0 - math.exp(-ch.eta * cfg.nu),
-        emu_qmu=ch.e0 * ch.y0 + ch.e_d * (1.0 - math.exp(-ch.eta * cfg.mu)),
-        enu_qnu=ch.e0 * ch.y0 + ch.e_d * (1.0 - math.exp(-ch.eta * cfg.nu)),
+        emu_qmu=E0 * ch.y0 + ch.e_d * (1.0 - math.exp(-ch.eta * cfg.mu)),
+        enu_qnu=E0 * ch.y0 + ch.e_d * (1.0 - math.exp(-ch.eta * cfg.nu)),
     )
 
 
@@ -169,18 +169,17 @@ def one_decoy_y1_lower(cfg: SourceConfig, g: GainStats) -> float:
     """One-decoy lower bound on the single-photon yield Y1, clamped to [0, 1].
 
     Y1 >= mu/(mu*nu - nu^2) * (Q_nu e^nu - Q_mu e^mu nu^2/mu^2
-          - E_mu Q_mu e^mu (mu^2 - nu^2) / (e0 mu^2)),  e0 = 1/2.
+          - E_mu Q_mu e^mu (mu^2 - nu^2) / (E0 mu^2)).
     """
     mu, nu = cfg.mu, cfg.nu
     if nu <= 0.0 or nu >= mu:
         raise ValueError(
             f"one-decoy estimate needs 0 < nu < mu, got mu={mu}, nu={nu}"
         )
-    e0 = 0.5
     raw = mu / (mu * nu - nu**2) * (
         g.q_nu_gain * math.exp(nu)
         - g.q_mu_gain * math.exp(mu) * nu**2 / mu**2
-        - g.emu_qmu * math.exp(mu) * (mu**2 - nu**2) / (e0 * mu**2)
+        - g.emu_qmu * math.exp(mu) * (mu**2 - nu**2) / (E0 * mu**2)
     )
     return min(max(raw, 0.0), 1.0)
 

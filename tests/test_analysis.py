@@ -43,6 +43,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="step_db must be at least 1e-06 dB"):
             sweep(REF, TABLE_USD, BASE, 36.0, 36.000003, 1e-9)
 
+    @pytest.mark.parametrize("step", [1.5e-6, 0.1000005])
+    def test_rejects_step_off_grid_quantum(self, step):
+        with pytest.raises(ValueError, match=r"^step_db must be a multiple of 1e-06 dB"):
+            sweep(REF, TABLE_USD, BASE, 36.0, 36.00001, step)
+
+    @pytest.mark.parametrize("step", [1e-6, 2.5e-5, 0.1, 0.25, 0.5, 10.0, 0.123457])
+    def test_accepts_multiples_of_grid_quantum(self, step):
+        rows = sweep(REF, TABLE_USD, BASE, 0.0, 0.0, step)
+        assert len(rows) == 1
+
     def test_rows_ordered_and_labeled(self):
         rows = sweep(REF, TABLE_USD, BASE, 35.0, 38.0, 0.5)
         losses = [r.loss_db for r in rows]
@@ -206,7 +216,44 @@ class TestSuccessRegion:
         region = success_region(REF, TABLE_USD, BASE, (33.0, 52.0, 1.0))
         assert 33.0 < region.lower_db < region.upper_db < 52.0
         steps = math.ceil(math.log2(1.0 / RESOLUTION_DB))  # halvings of a 1 dB bracket
-        # 20 grid points, the bisection steps of both endpoints, and the one
-        # probe that classifies the upper mechanism: the bracket ends are
-        # known from the sweep and are not evaluated again
-        assert len(calls) == 20 + 2 * steps + 1
+        # 20 grid points and the bisection steps of both endpoints: the
+        # bracket ends are known from the sweep and are not evaluated again,
+        # and the upper mechanism comes from the last bisection row
+        assert len(calls) == 20 + 2 * steps
+
+    @pytest.mark.parametrize("start,enforce,mechanism", [
+        (48.0, True, "bound_recross"), (48.7, False, "rate_abort"),
+    ])
+    def test_mechanism_of_unbisected_upper_end(self, start, enforce, mechanism, monkeypatch):
+        # a grid finer than RESOLUTION_DB brackets the upper end without a
+        # bisection step, so the mechanism comes from the failing sweep row
+        import qkdattack.analysis as analysis_mod
+
+        grid = (start, start + 0.1, RESOLUTION_DB / 2)
+        rows = sweep(REF, TABLE_USD, BASE, *grid, enforce_errors=enforce)
+        first = next(i for i, r in enumerate(rows) if r.attack_success)
+        failing = next(r for r in rows[first:] if not r.attack_success)
+        real, calls = analysis_mod.optimize_yields, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "optimize_yields", counting)
+        region = success_region(REF, TABLE_USD, BASE, grid, enforce_errors=enforce)
+        assert len(calls) == len(rows) and first == 0
+        fresh = evaluate_point(REF, TABLE_USD, BASE.at_loss_db(failing.loss_db),
+                               enforce_errors=enforce)
+        assert fresh.feasible and not fresh.attack_success
+        expected = "rate_abort" if fresh.r_lower <= 0.0 else "bound_recross"
+        assert region.upper_mechanism == expected == mechanism
+
+    def test_mechanism_from_row_above_boundary_not_bracket_end(self):
+        # the 49 dB bracket end has already aborted (r_lower < 0), but just
+        # above the 48.05 dB boundary the upper bound recrosses first
+        grid = (47.0, 49.0, 2.0)
+        end = sweep(REF, TABLE_USD, BASE, *grid, enforce_errors=True)[-1]
+        assert end.feasible and end.r_lower < 0
+        region = success_region(REF, TABLE_USD, BASE, grid, enforce_errors=True)
+        assert region.upper_db == pytest.approx(48.05, abs=RESOLUTION_DB)
+        assert region.upper_mechanism == "bound_recross"

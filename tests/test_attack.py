@@ -36,11 +36,10 @@ class TestUsdPerformance:
             UsdPerformance(q_mu=0.1, q_nu=0.1, xi_mu=-0.1)
 
     def test_ceiling_validation(self):
-        ideal = UsdPerformance(q_mu=0.0375, q_nu=0.0375)
-        ideal.validate_against(REF, ceiling="optimal")
-        with pytest.raises(ValueError):
-            ideal.validate_against(REF, ceiling="linear_optics")
-        TABLE_USD.validate_against(REF, ceiling="linear_optics")
+        UsdPerformance(q_mu=0.0375, q_nu=0.0375).validate_against(REF)
+        TABLE_USD.validate_against(REF)
+        with pytest.raises(ValueError, match=r"^q_mu=0\.05 exceeds the optimal USD ceiling"):
+            UsdPerformance(q_mu=0.05, q_nu=0.0375).validate_against(REF)
 
 
 class TestYieldPlan:

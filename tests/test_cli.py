@@ -265,6 +265,8 @@ class TestInvalidInput:
         (["simulate", "--set", "mc.seed=-1"], "mc.seed: "),
         (["sweep", "--set", "sweep.start_db=36", "--set", "sweep.end_db=36.000003",
           "--set", "sweep.step_db=1e-9"], "sweep.step_db: "),
+        (["sweep", "--set", "sweep.start_db=36", "--set", "sweep.end_db=36.00001",
+          "--set", "sweep.step_db=0.0000015"], "sweep.step_db: "),
     ])
     def test_ranges(self, argv, path, capsys, tmp_path):
         out = tmp_path / "never.txt"
@@ -323,3 +325,16 @@ def test_readme_examples(argv, expected, capsys, tmp_path, monkeypatch):
     assert out == expected
     if "--out" in argv:
         assert Path(argv[argv.index("--out") + 1]).exists()
+
+
+def test_readme_library_example():
+    # the README's only python block, checked against its console examples
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    namespace = {}
+    exec(block, namespace)
+    row, region = namespace["row"], namespace["region"]
+    assert (row.r_lower, row.r_upper) == (6.941258019580538e-06, 1.1212664646704118e-06)
+    assert row.attack_success
+    assert round(namespace["loss"], 2) == 36.31
+    assert (round(region.lower_db, 2), round(region.upper_db, 2)) == (36.32, 48.05)
+    assert region.upper_mechanism == "bound_recross"

@@ -39,7 +39,7 @@ class TestChannelParams:
             ChannelParams(eta=1.5)
         with pytest.raises(ValueError):
             ChannelParams(eta=0.5, e_d=0.6)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ChannelParams(eta=0.5, e0=0.4)
 
     @pytest.mark.parametrize("build", [
