@@ -8,6 +8,7 @@ believed rate is positive so the parties do not abort).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
@@ -103,8 +104,30 @@ def evaluate_point(
     )
 
 
-def _quantize(loss_db: float) -> int:
-    return round(loss_db / _MICRO_DB)
+def loss_grid(loss_start_db: float, loss_end_db: float, step_db: float) -> range:
+    """Sweep losses start, start + step, ... up to and including end.
+
+    The range holds integer units of 1e-6 dB (loss = units * 1e-6), so
+    refined grids share points exactly. An empty range, a step below or
+    off that quantum, or a value not finite in those units raises ValueError.
+    """
+    if loss_start_db > loss_end_db:
+        raise ValueError(
+            f"loss_start_db must be <= loss_end_db, got "
+            f"{loss_start_db} > {loss_end_db}"
+        )
+    if step_db <= 0:
+        raise ValueError(f"step_db must be positive, got {step_db}")
+    if step_db < _MICRO_DB:
+        raise ValueError(f"step_db must be at least {_MICRO_DB} dB, got {step_db}")
+    given = {"loss_start_db": loss_start_db, "loss_end_db": loss_end_db, "step_db": step_db}
+    for name, value in given.items():
+        if not math.isfinite(value / _MICRO_DB):
+            raise ValueError(f"{name} must be finite in {_MICRO_DB} dB units, got {value}")
+    start_u, end_u, step_u = (round(v / _MICRO_DB) for v in given.values())
+    if abs(step_u * _MICRO_DB - step_db) > 1e-9 * step_db:
+        raise ValueError(f"step_db must be a multiple of {_MICRO_DB} dB, got {step_db}")
+    return range(start_u, end_u + 1, step_u)
 
 
 def sweep(
@@ -117,47 +140,27 @@ def sweep(
     n_trunc: int = DEFAULT_N_TRUNC,
     enforce_errors: bool = False,
 ) -> list[SweepRow]:
-    """Evaluate both bounds on a loss grid, ordered by loss.
+    """Evaluate both bounds on loss_grid(loss_start_db, loss_end_db, step_db).
 
-    The grid is start, start + step, ... up to and including end, with
-    losses quantized to 1e-6 dB so refined grids share points exactly; a
-    step below or off that quantum raises ValueError.
-    ch_base supplies the background and misalignment parameters; its eta is
-    replaced per point. Per-point evaluation is pure, so rows depend only
-    on their own loss value. A point whose evaluation fails becomes an
-    infeasible row (r_lower NaN) instead of aborting the sweep; a source
-    without a decoy intensity (nu = 0) fails at every point, so it raises
-    ValueError before the loop.
+    Rows are ordered by loss. ch_base supplies the background and
+    misalignment parameters; its eta is replaced per point. Per-point
+    evaluation is pure, so rows depend only on their own loss value. A
+    point whose evaluation fails becomes an infeasible row (r_lower NaN)
+    instead of aborting the sweep; a source without a decoy intensity
+    (nu = 0) fails at every point, so it raises ValueError before the loop.
     """
-    if loss_start_db > loss_end_db:
-        raise ValueError(
-            f"loss_start_db must be <= loss_end_db, got "
-            f"{loss_start_db} > {loss_end_db}"
-        )
-    if step_db <= 0:
-        raise ValueError(f"step_db must be positive, got {step_db}")
-    if step_db < _MICRO_DB:
-        raise ValueError(f"step_db must be at least {_MICRO_DB} dB, got {step_db}")
+    grid = loss_grid(loss_start_db, loss_end_db, step_db)
     if cfg.nu <= 0.0:
         raise ValueError(f"sweep needs a decoy intensity nu > 0, got {cfg.nu}")
-    start_u = _quantize(loss_start_db)
-    end_u = _quantize(loss_end_db)
-    step_u = _quantize(step_db)
-    if abs(step_u * _MICRO_DB - step_db) > 1e-9 * step_db:
-        raise ValueError(f"step_db must be a multiple of {_MICRO_DB} dB, got {step_db}")
+    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors)
     rows = []
-    for k in range(0, (end_u - start_u) // step_u + 1):
-        loss = (start_u + k * step_u) * _MICRO_DB
-        ch = ch_base.at_loss_db(loss)
+    for units in grid:
+        loss = units * _MICRO_DB
         try:
-            row = evaluate_point(
-                cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors
-            )
-            # label with the exact grid loss, not its round trip through eta
-            row = replace(row, loss_db=loss)
+            row = point(loss)
         except (ValueError, RuntimeError, ArithmeticError):
             row = SweepRow(
-                loss_db=loss, eta=ch.eta, q_mu_gain=float("nan"),
+                loss_db=loss, eta=ch_base.at_loss_db(loss).eta, q_mu_gain=float("nan"),
                 r_lower=float("nan"), r_upper=None,
                 feasible=False, attack_success=False,
             )
@@ -206,10 +209,10 @@ def find_crossover(
 
 
 def _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors):
-    """point(loss): evaluate_point with ch_base moved to that loss."""
-    return lambda loss: evaluate_point(
+    """point(loss): evaluate_point at that loss, labelled with it, not its eta round trip."""
+    return lambda loss: replace(evaluate_point(
         cfg, usd, ch_base.at_loss_db(loss), n_trunc=n_trunc, enforce_errors=enforce_errors
-    )
+    ), loss_db=loss)
 
 
 def _bisect(point, flag, lo: float, hi: float, hi_row: SweepRow) -> tuple[float, SweepRow]:

@@ -101,10 +101,6 @@ class YieldPlan:
         object.__setattr__(self, "z_mu", z_mu)
         object.__setattr__(self, "z_nu", z_nu)
 
-    @classmethod
-    def zeros(cls, n_trunc: int) -> "YieldPlan":
-        return cls(n_trunc, np.zeros(n_trunc), np.zeros(n_trunc))
-
 
 @dataclass(frozen=True)
 class AttackSolution:
@@ -126,22 +122,16 @@ class AttackSolution:
     constraint_residuals: dict[str, float] = field(default_factory=dict)
 
 
-def yields_from_plan(
-    cfg: SourceConfig, usd: UsdPerformance, plan: YieldPlan
-) -> tuple[np.ndarray, np.ndarray]:
-    """Receiver-visible yields implied by a forwarding plan.
+def _plan_yields(usd: UsdPerformance, plan: YieldPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Receiver-visible yields Y_i^s, Y_i^d implied by a plan, i = 1..n_trunc.
 
     Y_i^s = q_mu [xi_mu Z_i^mu + (1 - xi_mu) Z_i^nu]
     Y_i^d = q_nu [xi_nu Z_i^nu + (1 - xi_nu) Z_i^mu]
-
-    Returns two arrays indexed by photon number i = 0..n_trunc; the i = 0
-    entries are 0.
     """
-    y_s = np.zeros(plan.n_trunc + 1)
-    y_d = np.zeros(plan.n_trunc + 1)
-    y_s[1:] = usd.q_mu * (usd.xi_mu * plan.z_mu + (1.0 - usd.xi_mu) * plan.z_nu)
-    y_d[1:] = usd.q_nu * (usd.xi_nu * plan.z_nu + (1.0 - usd.xi_nu) * plan.z_mu)
-    return y_s, y_d
+    return (
+        usd.q_mu * (usd.xi_mu * plan.z_mu + (1.0 - usd.xi_mu) * plan.z_nu),
+        usd.q_nu * (usd.xi_nu * plan.z_nu + (1.0 - usd.xi_nu) * plan.z_mu),
+    )
 
 
 def attack_gains(cfg: SourceConfig, usd: UsdPerformance, plan: YieldPlan) -> GainStats:
@@ -155,10 +145,10 @@ def attack_gains(cfg: SourceConfig, usd: UsdPerformance, plan: YieldPlan) -> Gai
     """
     p_mu, _ = _poisson_weights(cfg.mu, plan.n_trunc)
     p_nu, _ = _poisson_weights(cfg.nu, plan.n_trunc)
-    y_s, y_d = yields_from_plan(cfg, usd, plan)
+    y_s, y_d = _plan_yields(usd, plan)
     return GainStats(
-        q_mu_gain=float(p_mu @ y_s[1:]),
-        q_nu_gain=float(p_nu @ y_d[1:]),
+        q_mu_gain=float(p_mu @ y_s),
+        q_nu_gain=float(p_nu @ y_d),
         emu_qmu=float(0.5 * usd.q_mu * (1.0 - usd.xi_mu) * (p_mu @ plan.z_nu)),
         enu_qnu=float(0.5 * usd.q_nu * (1.0 - usd.xi_nu) * (p_nu @ plan.z_mu)),
     )
@@ -275,7 +265,7 @@ def optimize_yields(
         residuals["error_ineq"] = max(
             achieved.emu_qmu - target.emu_qmu, achieved.enu_qnu - target.enu_qnu
         )
-    y1s = usd.q_mu * (usd.xi_mu * plan.z_mu[0] + (1.0 - usd.xi_mu) * plan.z_nu[0])
+    y1s = _plan_yields(usd, plan)[0][0]
     return replace(
         sol, plan=plan, y1_signal=float(y1s),
         rate_upper=key_rate_upper(cfg, float(y1s)), constraint_residuals=residuals,

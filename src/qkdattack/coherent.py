@@ -75,9 +75,6 @@ class CoherentVector:
     cutoff: int
     coeffs: np.ndarray
 
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.coeffs, self.coeffs).real)
-
 
 @dataclass(frozen=True)
 class FockOperator:
@@ -85,10 +82,6 @@ class FockOperator:
 
     cutoff: int
     entries: np.ndarray
-
-    def hermiticity_defect(self) -> float:
-        """Max absolute entry of (A - A^dagger); 0 for Hermitian operators."""
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])

@@ -20,10 +20,6 @@ from .coherent import SourceConfig
 E0 = 0.5
 
 
-class EstimateUndefined(ValueError):
-    """Raised when a decoy estimate has no defined value (zero yield bound)."""
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Normal-channel model parameters.
@@ -193,7 +189,7 @@ def one_decoy_e1_upper(
     and its value clamped to [0, 1/2] for entropy evaluation.
     """
     if y1_lower <= 0.0:
-        raise EstimateUndefined(
+        raise ValueError(
             "e1 upper bound undefined for y1_lower = 0; the single-photon "
             "term of the key rate is 0 there"
         )

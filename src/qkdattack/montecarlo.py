@@ -159,13 +159,6 @@ def sample_pulses(tc: TrialConfig, start: int = 0, count: int | None = None) -> 
     }
 
 
-def _ratio_se(successes: int, trials: int) -> tuple[float, float]:
-    if trials == 0:
-        return float("nan"), float("nan")
-    p = successes / trials
-    return p, math.sqrt(p * (1.0 - p) / trials)
-
-
 def run_trials(tc: TrialConfig, block_size: int = _DEFAULT_BLOCK) -> EmpiricalStats:
     """Accumulate empirical discrimination and gain statistics.
 
@@ -186,20 +179,17 @@ def run_trials(tc: TrialConfig, block_size: int = _DEFAULT_BLOCK) -> EmpiricalSt
     correct_sig, correct_dec = t[[0, 1], [0, 1]].sum(axis=1).tolist()
     fwd_sig, fwd_dec = t[:, :, 1].sum(axis=1).tolist()
 
-    q_mu, q_mu_se = _ratio_se(concl_sig, n_sig)
-    q_nu, q_nu_se = _ratio_se(concl_dec, n_dec)
-    xi_mu, xi_mu_se = _ratio_se(correct_sig, concl_sig)
-    xi_nu, xi_nu_se = _ratio_se(correct_dec, concl_dec)
-    gain_mu, gain_mu_se = _ratio_se(fwd_sig, n_sig)
-    gain_nu, gain_nu_se = _ratio_se(fwd_dec, n_dec)
+    estimates = {}
+    for name, hits, trials in (
+        ("q_mu", concl_sig, n_sig), ("q_nu", concl_dec, n_dec),
+        ("xi_mu", correct_sig, concl_sig), ("xi_nu", correct_dec, concl_dec),
+        ("gain_mu", fwd_sig, n_sig), ("gain_nu", fwd_dec, n_dec),
+    ):
+        p = hits / trials if trials else float("nan")
+        se = math.sqrt(p * (1.0 - p) / trials) if trials else float("nan")
+        estimates[f"{name}_hat"], estimates[f"{name}_se"] = p, se
     return EmpiricalStats(
-        q_mu_hat=q_mu, q_mu_se=q_mu_se,
-        q_nu_hat=q_nu, q_nu_se=q_nu_se,
-        xi_mu_hat=xi_mu, xi_mu_se=xi_mu_se,
-        xi_nu_hat=xi_nu, xi_nu_se=xi_nu_se,
-        gain_mu_hat=gain_mu, gain_mu_se=gain_mu_se,
-        gain_nu_hat=gain_nu, gain_nu_se=gain_nu_se,
-        n_pulses=tc.n_pulses, n_signal=n_sig, n_decoy=n_dec,
+        **estimates, n_pulses=tc.n_pulses, n_signal=n_sig, n_decoy=n_dec
     )
 
 

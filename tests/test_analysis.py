@@ -13,6 +13,7 @@ from qkdattack.analysis import (
     SweepRow,
     evaluate_point,
     find_crossover,
+    loss_grid,
     success_region,
     sweep,
 )
@@ -52,6 +53,17 @@ class TestSweep:
     def test_accepts_multiples_of_grid_quantum(self, step):
         rows = sweep(REF, TABLE_USD, BASE, 0.0, 0.0, step)
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("start,end,step", [
+        (0.0, 60.0, 1e308), (1e308, 1e308, 0.5), (0.0, 1e308, 0.5),
+    ])
+    def test_rejects_values_beyond_grid_units(self, start, end, step):
+        with pytest.raises(ValueError, match="must be finite in 1e-06 dB units"):
+            sweep(REF, TABLE_USD, BASE, start, end, step)
+
+    def test_grid_in_quantum_units(self):
+        assert loss_grid(35.0, 38.0, 0.5) == range(35_000_000, 38_000_001, 500_000)
+        assert loss_grid(36.0, 36.0, 0.1) == range(36_000_000, 36_000_001, 100_000)
 
     def test_rows_ordered_and_labeled(self):
         rows = sweep(REF, TABLE_USD, BASE, 35.0, 38.0, 0.5)

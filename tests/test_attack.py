@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qkdattack import attack
 from qkdattack.attack import (
     AttackSolution,
     UsdPerformance,
@@ -13,7 +14,6 @@ from qkdattack.attack import (
     key_rate_upper,
     optimize_yields,
     solve_yield_lp,
-    yields_from_plan,
 )
 from qkdattack.coherent import SourceConfig, poisson_tail
 from qkdattack.decoy import ChannelParams, normal_gains
@@ -49,34 +49,24 @@ class TestYieldPlan:
         with pytest.raises(ValueError):
             YieldPlan(2, np.array([0.5, 1.2]), np.array([0.5, 0.5]))
 
-    def test_zeros_constructor(self):
-        plan = YieldPlan.zeros(4)
-        assert plan.n_trunc == 4
-        assert not plan.z_mu.any() and not plan.z_nu.any()
-
 
 class TestYieldsFromPlan:
     def test_zero_plan(self):
-        y_s, y_d = yields_from_plan(REF, TABLE_USD, YieldPlan.zeros(5))
+        y_s, y_d = attack._plan_yields(TABLE_USD, YieldPlan(5, np.zeros(5), np.zeros(5)))
         assert not y_s.any() and not y_d.any()
 
     def test_perfect_discrimination_decouples(self):
         usd = UsdPerformance(q_mu=0.3, q_nu=0.2, xi_mu=1.0, xi_nu=1.0)
         plan = YieldPlan(3, np.ones(3), np.zeros(3))
-        y_s, y_d = yields_from_plan(REF, usd, plan)
-        assert_allclose(y_s[1:], 0.3)
+        y_s, y_d = attack._plan_yields(usd, plan)
+        assert_allclose(y_s, 0.3)
         assert_allclose(y_d, 0.0)
-
-    def test_vacuum_entry_is_zero(self):
-        plan = YieldPlan(3, np.ones(3), np.ones(3))
-        y_s, y_d = yields_from_plan(REF, TABLE_USD, plan)
-        assert y_s[0] == 0.0 and y_d[0] == 0.0
 
     def test_accuracy_terms_sum(self):
         # equal single-photon yields make the accuracy split irrelevant
         plan = YieldPlan(3, np.full(3, 0.5), np.full(3, 0.5))
-        y_s, _ = yields_from_plan(REF, TABLE_USD, plan)
-        assert_allclose(y_s[1], 1.18e-3 * 0.5, rtol=1e-12)
+        y_s, _ = attack._plan_yields(TABLE_USD, plan)
+        assert_allclose(y_s[0], 1.18e-3 * 0.5, rtol=1e-12)
 
 
 class TestAttackGains:
@@ -90,7 +80,7 @@ class TestAttackGains:
         assert g.emu_qmu == 0.0
 
     def test_zero_plan(self):
-        g = attack_gains(REF, TABLE_USD, YieldPlan.zeros(10))
+        g = attack_gains(REF, TABLE_USD, YieldPlan(10, np.zeros(10), np.zeros(10)))
         assert g.q_mu_gain == 0.0 and g.q_nu_gain == 0.0
         assert g.emu_qmu == 0.0 and g.enu_qnu == 0.0
 

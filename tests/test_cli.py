@@ -192,6 +192,22 @@ class TestCommands:
         code = cli.main(["simulate", "--set", "channel.loss_db=0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--set", "channel.y0=0.9", "--set", "channel.loss_db=0"],
+        ["crossover", "--set", "channel.y0=0.9",
+         "--set", "sweep.start_db=0", "--set", "sweep.end_db=2"],
+        ["bounds", "--set", "source.mu=1000", "--set", "source.nu=1"],
+    ], ids=["bounds_gain_above_one", "crossover_gain_above_one", "bounds_overflow"])
+    def test_unevaluable_point_is_computation_error(self, argv, capsys, tmp_path):
+        # sweep turns the same failures into NaN rows; a single point exits 2
+        out = tmp_path / "never.txt"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 1
 
@@ -278,6 +294,9 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err.startswith("error: channel: ") and "loss_db=-4000" in err
         assert "Numerical result out of range" not in err
+
+    def test_step_too_large_for_grid_names_the_step(self, capsys):
+        _assert_usage_error(["sweep", "--set", "sweep.step_db=1e308"], capsys, "sweep.step_db: ")
 
     @pytest.mark.parametrize("config,path", [
         ({"source": 5}, "source: "),

@@ -9,7 +9,6 @@ from qkdattack.coherent import SourceConfig
 from qkdattack.decoy import (
     ChannelParams,
     DecoyEstimates,
-    EstimateUndefined,
     GainStats,
     believed_rate,
     binary_entropy,
@@ -197,7 +196,7 @@ class TestOneDecoyE1:
 
     def test_undefined_for_zero_yield(self):
         g = GainStats(0.1, 0.02, 0.01, 0.002)
-        with pytest.raises(EstimateUndefined):
+        with pytest.raises(ValueError, match="undefined for y1_lower = 0"):
             one_decoy_e1_upper(REF, g, y1_lower=0.0)
 
     def test_matches_independent_formula(self):
