@@ -172,10 +172,16 @@ def one_decoy_y1_lower(cfg: SourceConfig, g: GainStats) -> float:
         raise ValueError(
             f"one-decoy estimate needs 0 < nu < mu, got mu={mu}, nu={nu}"
         )
+    try:
+        e_mu = math.exp(mu)
+    except OverflowError:
+        raise ValueError(
+            f"one-decoy estimate overflows: e^mu for mu={mu} exceeds the float range"
+        ) from None
     raw = mu / (mu * nu - nu**2) * (
         g.q_nu_gain * math.exp(nu)
-        - g.q_mu_gain * math.exp(mu) * nu**2 / mu**2
-        - g.emu_qmu * math.exp(mu) * (mu**2 - nu**2) / (E0 * mu**2)
+        - g.q_mu_gain * e_mu * nu**2 / mu**2
+        - g.emu_qmu * e_mu * (mu**2 - nu**2) / (E0 * mu**2)
     )
     return min(max(raw, 0.0), 1.0)
 

@@ -8,11 +8,15 @@ shape produced by long measurement runs.
 Randomness comes from a counter-based generator (Philox) keyed by the trial
 seed, with a fixed number of draw slots per pulse, so pulse p always sees
 the same random values no matter how trials are partitioned into blocks.
+run_trials runs its blocks on threads across the usable CPUs; its statistics
+are bit-identical for any block size, CPU count and thread schedule.
 """
 from __future__ import annotations
 
 import csv
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -29,7 +33,7 @@ from .decoy import GainStats
 _DRAWS_PER_PULSE = 8
 _SLOT_STATE, _SLOT_PHASE, _SLOT_OUTCOME, _SLOT_PHOTON, _SLOT_FORWARD = range(5)
 
-_DEFAULT_BLOCK = 1 << 16
+_DEFAULT_BLOCK = 1 << 14  # each block in flight holds a 1 MB draw array
 
 
 class StateKind(IntEnum):
@@ -102,6 +106,47 @@ def _poisson_cdf(mean: float, min_len: int) -> np.ndarray:
         k *= 2
 
 
+def _sampler(tc: TrialConfig):
+    """(draw, forward): the per-pulse rules, with tables built once per trial.
+
+    z_table[outcome, photon] is the forwarding probability: 0 for vacuum,
+    inconclusive and beyond-truncation pulses (searchsorted returns at most
+    len(cdf), so every count has a column).
+    """
+    n = tc.plan.n_trunc
+    cdfs = (_poisson_cdf(tc.cfg.mu, n + 1), _poisson_cdf(tc.cfg.nu, n + 1))
+    z_table = np.zeros((3, max(map(len, cdfs)) + 1))
+    z_table[UsdOutcome.SIGNAL, 1:n + 1] = tc.plan.z_mu
+    z_table[UsdOutcome.DECOY, 1:n + 1] = tc.plan.z_nu
+    usd = tc.usd
+    t_first = np.array([usd.q_mu * usd.xi_mu, usd.q_nu * (1.0 - usd.xi_nu)])
+    t_both = np.array([usd.q_mu, usd.q_nu])
+
+    def draw(start: int, count: int):
+        """Draws u, sent state and USD outcome of pulses [start, start + count)."""
+        u = Generator(Philox(key=tc.seed).advance(2 * start)).random((count, _DRAWS_PER_PULSE))
+        state = (u[:, _SLOT_STATE] >= 0.5).view(np.uint8)
+        u_out = u[:, _SLOT_OUTCOME]
+        # conclusive-signal below t_first, conclusive-decoy below t_both >= t_first
+        outcome = (u_out >= t_first[state]).view(np.uint8)
+        outcome += u_out >= t_both[state]
+        return u, state, outcome
+
+    def forward(u, state, outcome, rows):
+        """Photon counts and forwarding decisions of the pulses u[rows]."""
+        u_ph = u[rows, _SLOT_PHOTON]
+        photon = np.where(state[rows], np.searchsorted(cdfs[1], u_ph, side="right"),
+                          np.searchsorted(cdfs[0], u_ph, side="right"))
+        return photon, u[rows, _SLOT_FORWARD] < z_table[outcome[rows], photon]
+
+    return draw, forward
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def sample_pulses(tc: TrialConfig, start: int = 0, count: int | None = None) -> dict:
     """Sample pulses [start, start + count) of the trial as arrays.
 
@@ -114,47 +159,14 @@ def sample_pulses(tc: TrialConfig, start: int = 0, count: int | None = None) -> 
         count = tc.n_pulses - start
     if not (0 <= start and start + count <= tc.n_pulses):
         raise ValueError("pulse range outside the trial")
-
-    gen = Generator(Philox(key=tc.seed).advance(2 * start))
-    u = gen.random((count, _DRAWS_PER_PULSE))
-
-    state = np.where(u[:, _SLOT_STATE] < 0.5, StateKind.SIGNAL, StateKind.DECOY)
-    signal = state == StateKind.SIGNAL
-    phase_index = np.minimum((u[:, _SLOT_PHASE] * 4).astype(np.int64), 3)
-
-    usd = tc.usd
-    # conclusive thresholds per sent state (conclusive-signal first)
-    t_first = np.where(signal, usd.q_mu * usd.xi_mu, usd.q_nu * (1.0 - usd.xi_nu))
-    t_both = np.where(signal, usd.q_mu, usd.q_nu)
-    u_out = u[:, _SLOT_OUTCOME]
-    outcome = np.where(
-        u_out < t_first, UsdOutcome.SIGNAL,
-        np.where(u_out < t_both, UsdOutcome.DECOY, UsdOutcome.FAIL),
-    )
-
-    n = tc.plan.n_trunc
-    cdf_mu = _poisson_cdf(tc.cfg.mu, n + 1)
-    cdf_nu = _poisson_cdf(tc.cfg.nu, n + 1)
-    u_ph = u[:, _SLOT_PHOTON]
-    photon = np.where(
-        signal,
-        np.searchsorted(cdf_mu, u_ph, side="right"),
-        np.searchsorted(cdf_nu, u_ph, side="right"),
-    )
-
-    # forwarding probability looked up by (outcome, photon count); vacuum,
-    # inconclusive, and beyond-truncation pulses are never forwarded, and
-    # searchsorted returns at most len(cdf), so every photon count has a column
-    z_table = np.zeros((3, max(len(cdf_mu), len(cdf_nu)) + 1))
-    z_table[UsdOutcome.SIGNAL, 1:n + 1] = tc.plan.z_mu
-    z_table[UsdOutcome.DECOY, 1:n + 1] = tc.plan.z_nu
-    forwarded = u[:, _SLOT_FORWARD] < z_table[outcome, photon]
-
+    draw, forward = _sampler(tc)
+    u, state, outcome = draw(start, count)
+    photon, forwarded = forward(u, state, outcome, slice(None))
     return {
-        "state": state,
-        "phase_index": phase_index,
+        "state": state.astype(np.int64),
+        "phase_index": np.minimum((u[:, _SLOT_PHASE] * 4).astype(np.int64), 3),
         "photon": photon,
-        "outcome": outcome,
+        "outcome": outcome.astype(np.int64),
         "forwarded": forwarded,
     }
 
@@ -162,16 +174,29 @@ def sample_pulses(tc: TrialConfig, start: int = 0, count: int | None = None) -> 
 def run_trials(tc: TrialConfig, block_size: int = _DEFAULT_BLOCK) -> EmpiricalStats:
     """Accumulate empirical discrimination and gain statistics.
 
-    Deterministic given the trial config: the same seed reproduces the same
-    statistics bit for bit, independent of block_size.
+    Blocks of block_size pulses run on threads across the CPUs this process
+    may use. The same seed reproduces the same statistics bit for bit, for
+    any block_size, CPU count and thread schedule.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    tally = np.zeros(12, dtype=np.int64)
-    for start in range(0, tc.n_pulses, block_size):
-        arr = sample_pulses(tc, start, min(block_size, tc.n_pulses - start))
-        cell = (arr["state"] * 3 + arr["outcome"]) * 2 + arr["forwarded"]
-        tally += np.bincount(cell, minlength=12)
+    draw, forward = _sampler(tc)
+
+    def block_tally(start: int) -> np.ndarray:
+        u, state, outcome = draw(start, min(block_size, tc.n_pulses - start))
+        cell = (state * 3 + outcome) * 2
+        # only conclusive pulses can be forwarded: the FAIL row of z_table is 0
+        concl = np.flatnonzero(outcome != UsdOutcome.FAIL)
+        cell[concl] += forward(u, state, outcome, concl)[1]
+        return np.bincount(cell, minlength=12)
+
+    starts = range(0, tc.n_pulses, block_size)
+    workers = min(_usable_cpus(), len(starts))
+    if workers == 1:
+        tally = sum(map(block_tally, starts))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            tally = sum(pool.map(block_tally, starts))
     t = tally.reshape(2, 3, 2)  # [state, outcome, forwarded]
     # per sent state, as Python ints; a correct outcome names the sent state
     n_sig, n_dec = t.sum(axis=(1, 2)).tolist()

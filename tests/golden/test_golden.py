@@ -1,9 +1,8 @@
 """run_trials replayed against the golden corpus made by make_run_trials.py.
 
 Every case's EmpiricalStats repr must match the corpus exactly at every
-block size. The corpus records the numpy version it was made with; a
-failure names both versions, but the comparison stays exact (Philox and
-Generator.random promise the same stream across numpy versions).
+block size. The corpus records the numpy version it was made with, and a
+failure names both versions; the comparison is exact either way.
 """
 import pathlib
 

@@ -140,6 +140,11 @@ class TestOneDecoyY1:
         with pytest.raises(ValueError):
             one_decoy_y1_lower(SourceConfig(mu=0.5, nu=0.0), g)
 
+    def test_overflowing_intensity_names_mu(self):
+        g = GainStats(0.5, 0.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match="mu=1000"):
+            one_decoy_y1_lower(SourceConfig(mu=1000.0, nu=1.0), g)
+
     def test_matches_independent_formula(self):
         rng = np.random.default_rng(17)
         for _ in range(100):

@@ -6,10 +6,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats as scipy_stats
 
+from qkdattack import montecarlo
 from qkdattack.attack import UsdPerformance, YieldPlan, optimize_yields
-from qkdattack.coherent import SourceConfig
+from qkdattack.coherent import SourceConfig, usd_success_optimal
 from qkdattack.decoy import ChannelParams
 from qkdattack.montecarlo import (
+    EmpiricalStats,
     StateKind,
     TrialConfig,
     UsdOutcome,
@@ -22,6 +24,11 @@ from qkdattack.montecarlo import (
 
 REF = SourceConfig(mu=0.5, nu=0.1)
 TABLE_USD = UsdPerformance(q_mu=1.18e-3, q_nu=1.16e-3, xi_mu=0.9690, xi_nu=0.9837)
+# optimal USD at relative phase pi: about 28% of pulses are conclusive, against
+# about 0.1% for TABLE_USD
+PI_SOURCE = SourceConfig(mu=0.5, nu=0.2, theta_s=math.pi)
+PI_USD = UsdPerformance(q_mu=usd_success_optimal(PI_SOURCE), q_nu=usd_success_optimal(PI_SOURCE))
+HALF_PLAN = YieldPlan(20, np.full(20, 0.5), np.full(20, 0.4))
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +41,25 @@ def optimized_plan():
 
 def _trial(plan, n=100_000, seed=1):
     return TrialConfig(n_pulses=n, seed=seed, cfg=REF, usd=TABLE_USD, plan=plan)
+
+
+def _stats_from_arrays(tc):
+    """EmpiricalStats counted pulse by pulse from sample_pulses arrays."""
+    arr = sample_pulses(tc)
+    sig = arr["state"] == StateKind.SIGNAL
+    concl = arr["outcome"] != UsdOutcome.FAIL
+    correct = arr["outcome"] == arr["state"]
+    fields = {}
+    for name, hits, trials in (
+        ("q_mu", sig & concl, sig), ("q_nu", ~sig & concl, ~sig),
+        ("xi_mu", sig & correct, sig & concl), ("xi_nu", ~sig & correct, ~sig & concl),
+        ("gain_mu", sig & arr["forwarded"], sig), ("gain_nu", ~sig & arr["forwarded"], ~sig),
+    ):
+        k, n = int(np.sum(hits)), int(np.sum(trials))
+        fields[f"{name}_hat"] = k / n
+        fields[f"{name}_se"] = math.sqrt(k / n * (1.0 - k / n) / n)
+    return EmpiricalStats(**fields, n_pulses=tc.n_pulses,
+                          n_signal=int(np.sum(sig)), n_decoy=int(np.sum(~sig)))
 
 
 class TestSampling:
@@ -50,11 +76,27 @@ class TestSampling:
         tc = _trial(optimized_plan, seed=99)
         assert run_trials(tc) == run_trials(tc)
 
-    def test_block_partition_invariance(self, optimized_plan):
-        tc = _trial(optimized_plan, seed=5)
+    @pytest.mark.parametrize("make_trial", [
+        lambda plan: _trial(plan, seed=5),
+        lambda plan: TrialConfig(n_pulses=100_000, seed=5, cfg=PI_SOURCE, usd=PI_USD,
+                                 plan=HALF_PLAN),
+    ], ids=["table_usd", "optimal_usd_pi"])
+    def test_block_partition_invariance(self, optimized_plan, make_trial):
+        tc = make_trial(optimized_plan)
         whole = run_trials(tc, block_size=1 << 20)
         chunked = run_trials(tc, block_size=777)
         assert whole == chunked
+
+    def test_inline_and_threaded_paths_agree(self, monkeypatch):
+        tc = TrialConfig(n_pulses=50_000, seed=37, cfg=PI_SOURCE, usd=PI_USD, plan=HALF_PLAN)
+        results = []
+        for cpus in (1, 2, 16):
+            with monkeypatch.context() as mp:
+                mp.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+                if cpus == 1:  # one worker runs the blocks inline, with no pool
+                    mp.setattr(montecarlo, "ThreadPoolExecutor", None)
+                results.append(run_trials(tc, block_size=4096))
+        assert results[0] == results[1] == results[2] == _stats_from_arrays(tc)
 
     def test_stream_is_pulse_addressed(self, optimized_plan):
         tc = _trial(optimized_plan, n=10_000, seed=11)
@@ -88,12 +130,15 @@ class TestSampling:
         p = scipy_stats.chi2_contingency(table).pvalue
         assert p > 1e-3
 
-    def test_tally_matches_sampled_arrays(self):
-        # xi < 1 and yields strictly inside (0, 1) reach every (state,
-        # outcome, forwarded) cell except the never-forwarded inconclusive ones
-        usd = UsdPerformance(q_mu=0.3, q_nu=0.25, xi_mu=0.8, xi_nu=0.7)
-        plan = YieldPlan(20, np.full(20, 0.5), np.full(20, 0.4))
-        tc = TrialConfig(n_pulses=20_000, seed=31, cfg=REF, usd=usd, plan=plan)
+    @pytest.mark.parametrize("cfg, usd", [
+        (REF, UsdPerformance(q_mu=0.3, q_nu=0.25, xi_mu=0.8, xi_nu=0.7)),
+        (PI_SOURCE, PI_USD),
+    ], ids=["xi_below_one", "optimal_usd_pi"])
+    def test_tally_matches_sampled_arrays(self, cfg, usd):
+        # yields strictly inside (0, 1) reach every (state, outcome,
+        # forwarded) cell except the never-forwarded inconclusive ones and,
+        # when xi = 1, the misidentified ones
+        tc = TrialConfig(n_pulses=20_000, seed=31, cfg=cfg, usd=usd, plan=HALF_PLAN)
         stats = run_trials(tc, block_size=777)
         arr = sample_pulses(tc)
         state, outcome, fwd = arr["state"], arr["outcome"], arr["forwarded"]
@@ -101,7 +146,9 @@ class TestSampling:
             for o in UsdOutcome:
                 for f in (False, True):
                     n = int(np.sum((state == s) & (outcome == o) & (fwd == f)))
-                    assert (n == 0) == (o == UsdOutcome.FAIL and f), (s, o, f)
+                    misidentified = o != UsdOutcome.FAIL and o != s
+                    empty = (o == UsdOutcome.FAIL and f) or (misidentified and usd.xi_mu == 1.0)
+                    assert (n == 0) == empty, (s, o, f)
         sig = state == StateKind.SIGNAL
         n_sig, n_dec = int(np.sum(sig)), int(np.sum(~sig))
         concl = outcome != UsdOutcome.FAIL
