@@ -191,12 +191,8 @@ def run_trials(tc: TrialConfig, block_size: int = _DEFAULT_BLOCK) -> EmpiricalSt
         return np.bincount(cell, minlength=12)
 
     starts = range(0, tc.n_pulses, block_size)
-    workers = min(_usable_cpus(), len(starts))
-    if workers == 1:
-        tally = sum(map(block_tally, starts))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            tally = sum(pool.map(block_tally, starts))
+    with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
+        tally = sum(pool.map(block_tally, starts))
     t = tally.reshape(2, 3, 2)  # [state, outcome, forwarded]
     # per sent state, as Python ints; a correct outcome names the sent state
     n_sig, n_dec = t.sum(axis=(1, 2)).tolist()
