@@ -6,9 +6,10 @@ is JSON merged over the built-in defaults, with dotted-path overrides via
 path. Each field takes the type of its default in defaults.DEFAULT_CONFIG,
 and numbers must be finite. Diagnostics go to stderr; data goes to stdout
 or the --out file, which is written only once the command has succeeded.
-Exit codes: 0 success (also when the reader closes stdout early), 1 usage
-or validation error, 2 computation error, including a point the model
-cannot evaluate.
+Exit codes: 0 success (also when the reader closes stdout early); 1 usage
+or validation error, including a channel.y0 that would push an observed
+gain above 1; 2 computation error, including a point the model cannot
+evaluate.
 """
 from __future__ import annotations
 
@@ -22,12 +23,14 @@ from dataclasses import asdict, dataclass
 from . import analysis, coherent, montecarlo
 from .attack import UsdPerformance, optimize_yields
 from .coherent import SourceConfig
-from .decoy import ChannelParams
+from .decoy import ChannelParams, observed_gains
 from .defaults import DEFAULT_CONFIG
 
 CONFIG_ENV_VAR = "QKDATTACK_CONFIG"
 
-SWEEP_CSV_HEADER = "loss_db,eta,q_mu_gain,r_lower,r_upper,feasible,attack_success"
+#: SweepRow attributes printed by sweep, in CSV column order.
+_SWEEP_COLUMNS = ("loss_db", "eta", "q_mu_gain", "r_lower", "r_upper", "feasible",
+                  "attack_success")
 
 _IDEAL_USD = {
     "optimal": coherent.usd_success_optimal,
@@ -52,24 +55,21 @@ class ConfigError(UsageError):
         self.path = path
 
 
-class ComputationError(Exception):
-    """A well-formed request with no computable answer; exit code 2."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters for all subcommands."""
+    """Validated run parameters for all subcommands.
+
+    Each section is in the form the library takes it: solver holds the
+    keywords of the analysis functions and optimize_yields, sweep is the
+    (start_db, end_db, step_db) range, and mc holds TrialConfig fields.
+    """
 
     source: SourceConfig
     channel: ChannelParams
     usd: UsdPerformance
-    n_trunc: int
-    enforce_errors: bool
-    sweep_start_db: float
-    sweep_end_db: float
-    sweep_step_db: float
-    mc_n_pulses: int
-    mc_seed: int
+    solver: dict
+    sweep: tuple[float, float, float]
+    mc: dict
 
 
 def _coerce(path: str, value, kind) -> object:
@@ -170,7 +170,11 @@ def build_config(raw: dict, overrides: list[str] = ()) -> RunConfig:
         )
     for key in ("start_db", "end_db"):  # the sweep's endpoint channels must exist
         _checked(f"sweep.{key}", channel.at_loss_db, sw[key])
-    _checked("sweep.step_db", analysis.loss_grid, sw["start_db"], sw["end_db"], sw["step_db"])
+    # observed gains peak at the lowest loss, so the sweep's start bounds every point
+    for point in (channel, channel.at_loss_db(sw["start_db"])):
+        _checked("channel.y0", observed_gains, source, point)
+    sweep = (sw["start_db"], sw["end_db"], sw["step_db"])
+    _checked("sweep.step_db", analysis.loss_grid, *sweep)
     if "ideal" in usd:
         q = _IDEAL_USD[usd["ideal"]](source)
         usd_perf = UsdPerformance(q_mu=q, q_nu=q, xi_mu=1.0, xi_nu=1.0)
@@ -179,10 +183,7 @@ def build_config(raw: dict, overrides: list[str] = ()) -> RunConfig:
         _checked("usd", usd_perf.validate_against, source)
 
     return RunConfig(
-        source=source, channel=channel, usd=usd_perf,
-        n_trunc=sol["n_trunc"], enforce_errors=sol["enforce_errors"],
-        sweep_start_db=sw["start_db"], sweep_end_db=sw["end_db"],
-        sweep_step_db=sw["step_db"], mc_n_pulses=mc["n_pulses"], mc_seed=mc["seed"],
+        source=source, channel=channel, usd=usd_perf, solver=sol, sweep=sweep, mc=mc,
     )
 
 
@@ -229,10 +230,7 @@ def cmd_usd(rc: RunConfig) -> str:
 
 
 def cmd_bounds(rc: RunConfig) -> str:
-    row = analysis.evaluate_point(
-        rc.source, rc.usd, rc.channel,
-        n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
-    )
+    row = analysis.evaluate_point(rc.source, rc.usd, rc.channel, **rc.solver)
     return _kv_lines(
         loss_db=row.loss_db, eta=row.eta, r_lower=row.r_lower, r_upper=row.r_upper,
         feasible=row.feasible, attack_success=row.attack_success,
@@ -240,35 +238,18 @@ def cmd_bounds(rc: RunConfig) -> str:
 
 
 def cmd_sweep(rc: RunConfig) -> str:
-    rows = analysis.sweep(
-        rc.source, rc.usd, rc.channel,
-        rc.sweep_start_db, rc.sweep_end_db, rc.sweep_step_db,
-        n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
-    )
-    return SWEEP_CSV_HEADER + "\n" + "".join(
-        ",".join(_fmt(v) for v in (
-            r.loss_db, r.eta, r.q_mu_gain, r.r_lower, r.r_upper,
-            r.feasible, r.attack_success,
-        )) + "\n"
-        for r in rows
-    )
+    rows = analysis.sweep(rc.source, rc.usd, rc.channel, *rc.sweep, **rc.solver)
+    lines = [_SWEEP_COLUMNS] + [[_fmt(getattr(r, c)) for c in _SWEEP_COLUMNS] for r in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def cmd_crossover(rc: RunConfig) -> str:
-    loss = analysis.find_crossover(
-        rc.source, rc.usd, rc.channel,
-        rc.sweep_start_db, rc.sweep_end_db,
-        n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
-    )
+    loss = analysis.find_crossover(rc.source, rc.usd, rc.channel, *rc.sweep[:2], **rc.solver)
     return f"crossover_db {loss:.2f}\n"
 
 
 def cmd_region(rc: RunConfig) -> str:
-    region = analysis.success_region(
-        rc.source, rc.usd, rc.channel,
-        (rc.sweep_start_db, rc.sweep_end_db, rc.sweep_step_db),
-        n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
-    )
+    region = analysis.success_region(rc.source, rc.usd, rc.channel, rc.sweep, **rc.solver)
     return _kv_lines(
         lower_db=f"{region.lower_db:.2f}",
         upper_db=None if region.upper_db is None else f"{region.upper_db:.2f}",
@@ -277,42 +258,29 @@ def cmd_region(rc: RunConfig) -> str:
 
 
 def cmd_simulate(rc: RunConfig) -> str:
-    sol = optimize_yields(
-        rc.source, rc.usd, rc.channel,
-        n_trunc=rc.n_trunc, enforce_errors=rc.enforce_errors,
-    )
+    sol = optimize_yields(rc.source, rc.usd, rc.channel, **rc.solver)
     if not sol.feasible:
-        raise ComputationError(
+        raise ValueError(
             f"no statistics-preserving attack at {rc.channel.loss_db:.2f} dB; "
             "nothing to simulate"
         )
-    tc = montecarlo.TrialConfig(
-        n_pulses=rc.mc_n_pulses, seed=rc.mc_seed,
-        cfg=rc.source, usd=rc.usd, plan=sol.plan,
-    )
+    tc = montecarlo.TrialConfig(**rc.mc, cfg=rc.source, usd=rc.usd, plan=sol.plan)
     stats = montecarlo.run_trials(tc)
     expected = montecarlo.expected_gains(tc)
-
-    def residual(hat: float, se: float, ref: float) -> float | None:
-        if se == 0 or math.isnan(se):
-            return None
-        return (hat - ref) / se
-
+    analytic = {
+        "q_mu": rc.usd.q_mu, "q_nu": rc.usd.q_nu,
+        "gain_mu": expected.q_mu_gain, "gain_nu": expected.q_nu_gain,
+    }
+    residuals = {}  # in standard errors; None where the estimate has none
+    for name, ref in analytic.items():
+        hat, se = getattr(stats, f"{name}_hat"), getattr(stats, f"{name}_se")
+        residuals[name] = None if se == 0 or math.isnan(se) else (hat - ref) / se
     payload = {
         "loss_db": rc.channel.loss_db,
-        "n_pulses": rc.mc_n_pulses,
-        "seed": rc.mc_seed,
+        **rc.mc,  # n_pulses, seed
         "empirical": {k: v for k, v in asdict(stats).items() if k != "n_pulses"},
-        "analytic": {
-            "q_mu": rc.usd.q_mu, "q_nu": rc.usd.q_nu,
-            "gain_mu": expected.q_mu_gain, "gain_nu": expected.q_nu_gain,
-        },
-        "residuals_se": {
-            "q_mu": residual(stats.q_mu_hat, stats.q_mu_se, rc.usd.q_mu),
-            "q_nu": residual(stats.q_nu_hat, stats.q_nu_se, rc.usd.q_nu),
-            "gain_mu": residual(stats.gain_mu_hat, stats.gain_mu_se, expected.q_mu_gain),
-            "gain_nu": residual(stats.gain_nu_hat, stats.gain_nu_se, expected.q_nu_gain),
-        },
+        "analytic": analytic,
+        "residuals_se": residuals,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -387,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ComputationError, ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         # what sweep counts as a failed point; config errors are UsageErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -93,14 +93,6 @@ class FockOperator:
         return float(np.vdot(state.coeffs, self.entries @ state.coeffs).real)
 
 
-def _overlap_exponent(cfg: SourceConfig) -> float:
-    # (1/2) |sqrt(mu/2) e^{i theta_s} - sqrt(nu/2) e^{i theta_d}|^2
-    return 0.5 * (
-        (cfg.mu + cfg.nu) / 2.0
-        - math.sqrt(cfg.mu * cfg.nu) * math.cos(cfg.theta_s - cfg.theta_d)
-    )
-
-
 def failure_probability(cfg: SourceConfig) -> float:
     """Inconclusive-outcome probability of the optimal USD measurement.
 
@@ -108,7 +100,10 @@ def failure_probability(cfg: SourceConfig) -> float:
     p_f = exp(-(1/2) |sqrt(mu/2) e^{i theta_s} - sqrt(nu/2) e^{i theta_d}|^2),
     in (0, 1], with 1 exactly when the states coincide.
     """
-    return math.exp(-_overlap_exponent(cfg))
+    return math.exp(-0.5 * (
+        (cfg.mu + cfg.nu) / 2.0
+        - math.sqrt(cfg.mu * cfg.nu) * math.cos(cfg.theta_s - cfg.theta_d)
+    ))
 
 
 def usd_success_optimal(cfg: SourceConfig) -> float:

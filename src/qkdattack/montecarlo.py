@@ -36,11 +36,6 @@ _SLOT_STATE, _SLOT_PHASE, _SLOT_OUTCOME, _SLOT_PHOTON, _SLOT_FORWARD = range(5)
 _DEFAULT_BLOCK = 1 << 14  # each block in flight holds a 1 MB draw array
 
 
-class StateKind(IntEnum):
-    SIGNAL = 0
-    DECOY = 1
-
-
 class UsdOutcome(IntEnum):
     """Conclusive-signal, conclusive-decoy, or inconclusive outcome."""
 
@@ -150,8 +145,9 @@ def _usable_cpus() -> int:
 def sample_pulses(tc: TrialConfig, start: int = 0, count: int | None = None) -> dict:
     """Sample pulses [start, start + count) of the trial as arrays.
 
-    Returns a dict with int arrays "state", "phase_index", "photon",
-    "outcome" and a bool array "forwarded". The draw for pulse p depends
+    Returns a dict with int arrays "state" (0 signal, 1 decoy),
+    "phase_index", "photon", "outcome" (a UsdOutcome) and a bool array
+    "forwarded". The draw for pulse p depends
     only on (seed, p), so any partition of the pulse range reproduces the
     same values.
     """

@@ -136,19 +136,15 @@ def cli_entry(command: str) -> str:
     return "\n".join(lines)
 
 
-def _analysis_inputs(case):
-    """(source, usd, channel, enforce_errors) of one analysis.txt entry."""
-    rows = {line.split(" ", 1)[0]: line.split()[1:] for line in case.splitlines()}
-    y0, e_d = map(float, rows["channel"])
-    return (SourceConfig(*map(float, rows["source"])), UsdPerformance(*map(float, rows["usd"])),
-            ChannelParams.from_loss_db(40.0, y0=y0, e_d=e_d), rows["errors"] == ["True"])
-
-
 def analysis_results(case: str) -> list[str]:
     """The region and crossover lines of an analysis.txt entry, from its inputs."""
-    cfg, usd, ch, errors = _analysis_inputs(case)
-    (lo, hi), = (map(float, line.split()[1:]) for line in case.splitlines()
-                 if line.startswith("bracket "))
+    rows = {line.split(" ", 1)[0]: line.split()[1:] for line in case.splitlines()}
+    cfg = SourceConfig(*map(float, rows["source"]))
+    usd = UsdPerformance(*map(float, rows["usd"]))
+    y0, e_d = map(float, rows["channel"])
+    ch = ChannelParams.from_loss_db(40.0, y0=y0, e_d=e_d)  # each point replaces the loss
+    errors = rows["errors"] == ["True"]
+    lo, hi = map(float, rows["bracket"])
     region = success_region(cfg, usd, ch, REGION_SCAN, enforce_errors=errors)
     loss = find_crossover(cfg, usd, ch, lo, hi, enforce_errors=errors)
     return [f"region {region!r}", f"crossover {loss!r}"]

@@ -1,4 +1,6 @@
 """Tests for the command line: config handling, outputs, exit codes."""
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdattack import cli
+from qkdattack import analysis, attack, cli, montecarlo
 from qkdattack.cli import CONFIG_ENV_VAR, ConfigError, UsageError, parse_config
 from qkdattack.defaults import DEFAULT_CONFIG
 
@@ -32,7 +34,8 @@ class TestParseConfig:
             parse_config(overrides=["channel.detector_efficiency=0.05"])
         assert err.value.path == "channel.detector_efficiency"
         assert rc.usd.q_mu == 1.18e-3 and rc.usd.xi_nu == 0.9837
-        assert rc.n_trunc == 20 and rc.enforce_errors is False
+        assert rc.solver == {"n_trunc": 20, "enforce_errors": False}
+        assert rc.sweep == (30.0, 50.0, 0.1)
 
     def test_mu_below_nu_names_field(self):
         with pytest.raises(ConfigError) as err:
@@ -93,8 +96,8 @@ class TestParseConfig:
         rc = parse_config(overrides=[
             "solver.enforce_errors=true", "mc.n_pulses=500", "mc.seed=42",
         ])
-        assert rc.enforce_errors is True
-        assert rc.mc_n_pulses == 500 and rc.mc_seed == 42
+        assert rc.solver["enforce_errors"] is True
+        assert rc.mc == {"n_pulses": 500, "seed": 42}
 
     def test_malformed_set(self):
         with pytest.raises(UsageError):
@@ -193,11 +196,8 @@ class TestCommands:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["bounds", "--set", "channel.y0=0.9", "--set", "channel.loss_db=0"],
-        ["crossover", "--set", "channel.y0=0.9",
-         "--set", "sweep.start_db=0", "--set", "sweep.end_db=2"],
         ["bounds", "--set", "source.mu=1000", "--set", "source.nu=1"],
-    ], ids=["bounds_gain_above_one", "crossover_gain_above_one", "bounds_overflow"])
+    ], ids=["bounds_overflow"])
     def test_unevaluable_point_is_computation_error(self, argv, capsys, tmp_path):
         # sweep turns the same failures into NaN rows; a single point exits 2
         out = tmp_path / "never.txt"
@@ -205,6 +205,24 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--set", "channel.y0=0.9", "--set", "channel.loss_db=0"],
+        ["crossover", "--set", "channel.y0=0.9",
+         "--set", "sweep.start_db=0", "--set", "sweep.end_db=2"],
+        ["sweep", "--set", "channel.y0=0.9",
+         "--set", "sweep.start_db=0", "--set", "sweep.end_db=2"],
+    ], ids=["bounds_gain_above_one", "crossover_gain_above_one", "sweep_gain_above_one"])
+    def test_background_pushing_gain_above_one_is_usage_error(self, argv, capsys, tmp_path):
+        # at the configured loss or anywhere in the sweep range, not as NaN rows
+        out = tmp_path / "never.txt"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: channel.y0: ")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert not out.exists()
 
@@ -244,6 +262,16 @@ class TestCommands:
             os.close(write_fd)
         assert proc.returncode == 0
         assert proc.stderr == b""
+
+
+def test_config_sections_are_library_keywords():
+    # the commands pass the solver section as keywords and mc as TrialConfig fields
+    for func in (analysis.evaluate_point, analysis.sweep, analysis.find_crossover,
+                 analysis.success_region, attack.optimize_yields):
+        params = inspect.signature(func).parameters
+        assert DEFAULT_CONFIG["solver"].keys() <= params.keys(), func.__name__
+    fields = {f.name for f in dataclasses.fields(montecarlo.TrialConfig)}
+    assert DEFAULT_CONFIG["mc"].keys() <= fields
 
 
 def _invalid_field_values():

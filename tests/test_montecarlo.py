@@ -12,7 +12,6 @@ from qkdattack.coherent import SourceConfig, usd_success_optimal
 from qkdattack.decoy import ChannelParams
 from qkdattack.montecarlo import (
     EmpiricalStats,
-    StateKind,
     TrialConfig,
     UsdOutcome,
     expected_gains,
@@ -46,7 +45,7 @@ def _trial(plan, n=100_000, seed=1):
 def _stats_from_arrays(tc):
     """EmpiricalStats counted pulse by pulse from sample_pulses arrays."""
     arr = sample_pulses(tc)
-    sig = arr["state"] == StateKind.SIGNAL
+    sig = arr["state"] == 0
     concl = arr["outcome"] != UsdOutcome.FAIL
     correct = arr["outcome"] == arr["state"]
     fields = {}
@@ -139,15 +138,15 @@ class TestSampling:
         stats = run_trials(tc, block_size=777)
         arr = sample_pulses(tc)
         state, outcome, fwd = arr["state"], arr["outcome"], arr["forwarded"]
-        for s in StateKind:
+        for s in (0, 1):  # sent state: signal, decoy
             for o in UsdOutcome:
                 for f in (False, True):
                     n = int(np.sum((state == s) & (outcome == o) & (fwd == f)))
-                    xi = usd.xi_mu if s == StateKind.SIGNAL else usd.xi_nu
+                    xi = usd.xi_mu if s == 0 else usd.xi_nu
                     misidentified = o != UsdOutcome.FAIL and o != s
                     empty = (o == UsdOutcome.FAIL and f) or (misidentified and xi == 1.0)
                     assert (n == 0) == empty, (s, o, f)
-        sig = state == StateKind.SIGNAL
+        sig = state == 0
         n_sig, n_dec = int(np.sum(sig)), int(np.sum(~sig))
         concl = outcome != UsdOutcome.FAIL
         assert (stats.n_signal, stats.n_decoy) == (n_sig, n_dec)
