@@ -85,6 +85,8 @@ CLI_CASES = (
     "sweep --set channel.y0=0.9 --set sweep.start_db=0 --set sweep.end_db=2",
     # an intensity whose one-decoy estimate overflows
     "bounds --set source.mu=1000 --set source.nu=1",
+    "sweep --set source.mu=1000 --set source.nu=1 --set sweep.step_db=5",
+    "region --set source.mu=1000 --set source.nu=1",
     # no decoy intensity
     "bounds --set source.nu=0",
     "usd --set source.nu=0",
