@@ -145,27 +145,11 @@ def sweep(
     Rows are ordered by loss. ch_base supplies the background and
     misalignment parameters; its eta is replaced per point. Per-point
     evaluation is pure, so rows depend only on their own loss value. A
-    point whose evaluation fails becomes an infeasible row (r_lower NaN)
-    instead of aborting the sweep; a source without a decoy intensity
-    (nu = 0) fails at every point, so it raises ValueError before the loop.
+    point whose evaluation fails raises its error, as evaluate_point does.
     """
     grid = loss_grid(loss_start_db, loss_end_db, step_db)
-    if cfg.nu <= 0.0:
-        raise ValueError(f"sweep needs a decoy intensity nu > 0, got {cfg.nu}")
     point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors)
-    rows = []
-    for units in grid:
-        loss = units * _MICRO_DB
-        try:
-            row = point(loss)
-        except (ValueError, RuntimeError, ArithmeticError):
-            row = SweepRow(
-                loss_db=loss, eta=ch_base.at_loss_db(loss).eta, q_mu_gain=float("nan"),
-                r_lower=float("nan"), r_upper=None,
-                feasible=False, attack_success=False,
-            )
-        rows.append(row)
-    return rows
+    return [point(units * _MICRO_DB) for units in grid]
 
 
 def find_crossover(
@@ -244,7 +228,7 @@ def success_region(
 
     Scans the range at the given step, then bisects the success predicate
     at each boundary of the first success window found. EmptyRegionError
-    is raised when no grid point succeeds.
+    is raised when no grid point succeeds, and a point's failure propagates.
     """
     start, end, step = sweep_range
     rows = sweep(

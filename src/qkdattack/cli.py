@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, RuntimeError) as exc:
-        # what sweep counts as a failed point; config errors are UsageErrors
+        # a point the model cannot evaluate; config errors are UsageErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

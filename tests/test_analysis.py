@@ -110,7 +110,7 @@ class TestSweep:
                 r_lower=1e-6, r_upper=2e-6, feasible=True, attack_success=True,
             )
 
-    def test_point_failures_become_rows(self, monkeypatch):
+    def test_point_failures_propagate(self, monkeypatch):
         import qkdattack.analysis as analysis_mod
 
         real = analysis_mod.optimize_yields
@@ -121,17 +121,14 @@ class TestSweep:
             return real(cfg, usd, ch, **kwargs)
 
         monkeypatch.setattr(analysis_mod, "optimize_yields", flaky)
-        rows = sweep(REF, TABLE_USD, BASE, 36.0, 38.0, 1.0)
-        assert len(rows) == 3
-        broken = rows[1]
-        assert broken.loss_db == 37.0
-        assert not broken.feasible and not broken.attack_success
-        assert math.isnan(broken.r_lower)
-        assert rows[0].feasible and rows[2].feasible
+        with pytest.raises(RuntimeError, match="solver hiccup"):
+            sweep(REF, TABLE_USD, BASE, 36.0, 38.0, 1.0)
+        with pytest.raises(RuntimeError, match="solver hiccup"):
+            success_region(REF, TABLE_USD, BASE, (36.0, 38.0, 1.0))
 
 
     def test_zero_decoy_intensity_raises(self):
-        with pytest.raises(ValueError, match="nu > 0"):
+        with pytest.raises(ValueError, match="0 < nu < mu"):
             sweep(SourceConfig(mu=0.5, nu=0.0), TABLE_USD, BASE, 36.0, 38.0, 1.0)
 
 

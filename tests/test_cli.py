@@ -197,14 +197,18 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--set", "source.mu=1000", "--set", "source.nu=1"],
-    ], ids=["bounds_overflow"])
+        ["sweep", "--set", "source.mu=1000", "--set", "source.nu=1", "--set", "sweep.step_db=5"],
+        ["region", "--set", "source.mu=1000", "--set", "source.nu=1"],
+        ["crossover", "--set", "source.mu=1000", "--set", "source.nu=1"],
+    ], ids=["bounds_overflow", "sweep_overflow", "region_overflow", "crossover_overflow"])
     def test_unevaluable_point_is_computation_error(self, argv, capsys, tmp_path):
-        # sweep turns the same failures into NaN rows; a single point exits 2
+        # every command that evaluates the point exits 2 with its cause, never NaN rows
         out = tmp_path / "never.txt"
         assert cli.main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "e^mu" in captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()
 
