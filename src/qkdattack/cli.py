@@ -4,8 +4,9 @@ Subcommands: usd, bounds, sweep, crossover, region, simulate. Configuration
 is JSON merged over the built-in defaults, with dotted-path overrides via
 --set; the QKDATTACK_CONFIG environment variable supplies a default config
 path. Each field takes the type of its default in defaults.DEFAULT_CONFIG,
-and numbers must be finite. Diagnostics go to stderr; data goes to stdout
-or the --out file, which is written only once the command has succeeded.
+and numbers must be finite. Diagnostics go to stderr, a library warning as
+one "warning: <message>" line; data goes to stdout or the --out file, which
+is written only once the command has succeeded.
 Exit codes: 0 success (also when the reader closes stdout early); 1 usage
 or validation error, including a channel.y0 that would push an observed
 gain above 1; 2 computation error, including a point the model cannot
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 from . import analysis, coherent, montecarlo
@@ -336,7 +338,9 @@ def main(argv: list[str] | None = None) -> int:
                 "source.nu",
                 f"{args.command} needs a decoy intensity nu > 0, got {rc.source.nu}",
             )
-        text = _COMMANDS[args.command](rc)
+        with warnings.catch_warnings():  # library warnings as one stderr line each
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            text = _COMMANDS[args.command](rc)
         if args.out is None:
             sys.stdout.write(text)
             sys.stdout.flush()  # a closed pipe must surface here, not at exit

@@ -78,6 +78,9 @@ CLI_CASES = (
     "simulate --set solver.enforce_errors=true --set channel.loss_db=38",
     "simulate --set mc.n_pulses=300000 --out sim.json",
     "sweep --set sweep.start_db=36 --set sweep.end_db=37 --set sweep.step_db=0.5 --out s.csv",
+    # a photon-number truncation the library warns about
+    "bounds --set solver.n_trunc=5 --set channel.loss_db=37",
+    "region --set solver.n_trunc=5 --set sweep.step_db=1",
     # a point the attack cannot reach
     "simulate --set channel.loss_db=0",
     # a background rate that pushes an observed gain above 1

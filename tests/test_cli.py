@@ -212,6 +212,15 @@ class TestCommands:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    def test_library_warning_is_one_stderr_line(self, capsys):
+        argv = ["bounds", "--set", "solver.n_trunc=5", "--set", "channel.loss_db=37"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("loss_db 37.0\n")
+        assert captured.err.startswith("warning: photon-number truncation 5 ")
+        assert captured.err.count("\n") == 1
+        assert "UserWarning" not in captured.err and ".py" not in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "--set", "channel.y0=0.9", "--set", "channel.loss_db=0"],
         ["crossover", "--set", "channel.y0=0.9",
