@@ -15,7 +15,8 @@ moved. A change that moves a byte regenerates the corpus and shows the diff.
 - cli.txt: exit code, stdout, stderr and --out file of cli.main(argv), run
   in process, for each argv in CLI_CASES.
 - analysis.txt: the repr of success_region over a 0-52 dB, 1 dB scan and
-  of find_crossover over a stored bracket, for each case in CASES.
+  of find_crossover over a stored bracket, for each case in CASES; then the
+  same over each LOSS_SCAN setting's own scan and bracket.
 
 cli.txt and analysis.txt depend on the LP solver's bits, so they record the
 Python, numpy and scipy versions; test_golden.py compares exactly only when
@@ -59,6 +60,31 @@ CASES = (
 )
 MEASURED = {0.0: (1.18e-3, 1.16e-3, 0.969, 0.9837),
             math.pi: (1.25e-3, 1.22e-3, 0.975, 0.985)}
+
+# The benchmark's loss_scan settings for seed 1, round 0, one per family, as
+# (mu, nu, theta_s, (q_mu, q_nu, xi_mu, xi_nu), y0, e_d, enforce_errors,
+# end_db, bracket). The scan runs from 0 dB to end_db at 1 dB; the bracket
+# runs from the first feasible to the last success row of the setting's
+# 0.5 dB sweep over the same range.
+LOSS_SCAN = (
+    (0.4551, 0.1204, 0.0, (0.0012265, 0.0012158, 0.968, 0.9794),
+     1.318e-07, 0.0215, False, 51.5, (30.5, 49.0)),
+    (0.4046, 0.1429, math.pi, (0.0013091, 0.0012811, 0.9762, 0.9845),
+     1.335e-07, 0.0207, True, 53.0, (30.0, 50.5)),
+    (0.5163, 0.1299, 0.0, (0.031554583997249086, 0.031554583997249086, 1.0, 1.0),
+     5.369e-08, 0.0185, False, 56.0, (16.5, 53.5)),
+    (0.4986, 0.1177, math.pi, (0.24057989944432956, 0.24057989944432956, 1.0, 1.0),
+     1.782e-07, 0.0194, True, 50.0, (7.5, 47.5)),
+    (0.4163, 0.1507, 0.0, (0.00818910380283977, 0.00818910380283977, 1.0, 1.0),
+     1.412e-07, 0.0188, True, 53.5, (22.0, 51.0)),
+    (0.5497, 0.1862, math.pi, (0.14551397248842457, 0.14551397248842457, 1.0, 1.0),
+     1.123e-07, 0.0183, False, 53.5, (9.5, 51.0)),
+    # measured USD with errors enforced; its window ends by bound_recross
+    (0.4595, 0.1123, 0.0, (0.0012301, 0.0012042, 0.9748, 0.9778),
+     6.696e-08, 0.0225, True, 53.0, (30.5, 50.5)),
+    (0.4836, 0.1804, math.pi, (0.0010749, 0.0010501, 0.9706, 0.9861),
+     1.867e-07, 0.018, False, 52.0, (31.0, 49.5)),
+)
 
 _PI = repr(math.pi)
 # Command lines of cli.txt. README invocations are pinned by test_cli's
@@ -142,7 +168,10 @@ def cli_entry(command: str) -> str:
 
 
 def analysis_results(case: str) -> list[str]:
-    """The region and crossover lines of an analysis.txt entry, from its inputs."""
+    """The region and crossover lines of an analysis.txt entry, from its inputs.
+
+    An entry's scan line, when it has one, replaces the header's REGION_SCAN.
+    """
     rows = {line.split(" ", 1)[0]: line.split()[1:] for line in case.splitlines()}
     cfg = SourceConfig(*map(float, rows["source"]))
     usd = UsdPerformance(*map(float, rows["usd"]))
@@ -150,7 +179,8 @@ def analysis_results(case: str) -> list[str]:
     ch = ChannelParams.from_loss_db(40.0, y0=y0, e_d=e_d)  # each point replaces the loss
     errors = rows["errors"] == ["True"]
     lo, hi = map(float, rows["bracket"])
-    region = success_region(cfg, usd, ch, REGION_SCAN, enforce_errors=errors)
+    scan = tuple(map(float, rows["scan"])) if "scan" in rows else REGION_SCAN
+    region = success_region(cfg, usd, ch, scan, enforce_errors=errors)
     loss = find_crossover(cfg, usd, ch, lo, hi, enforce_errors=errors)
     return [f"region {region!r}", f"crossover {loss!r}"]
 
@@ -201,21 +231,35 @@ def make_cli() -> str:
     return "\n\n".join(["\n".join(_header()), *entries]) + "\n"
 
 
+def _numbers(key: str, values) -> str:
+    return " ".join([key, *map(repr, values)])
+
+
+def _analysis_entry(name, source, usd, channel, errors, bracket, scan=None) -> str:
+    """An analysis.txt entry: its inputs as plain numbers, then its results."""
+    lines = [f"case {name}", _numbers("source", source), _numbers("usd", usd),
+             _numbers("channel", channel), f"errors {errors}", _numbers("bracket", bracket)]
+    if scan is not None:
+        lines.append(_numbers("scan", scan))
+    inputs = "\n".join(lines)
+    return "\n".join([inputs, *analysis_results(inputs)])
+
+
 def make_analysis() -> str:
     entries = ["\n".join(_header(scan=" ".join(map(repr, REGION_SCAN))))]
     for kind, phase, mu, nu, _, errors, _ in CASES:
         cfg = SourceConfig(mu=mu, nu=nu, theta_s=phase)
         usd = _usd(kind, cfg, phase)
-        lo, hi = _bracket(cfg, usd, ChannelParams.from_loss_db(40.0, y0=Y0, e_d=E_D), errors)
-        inputs = "\n".join([
-            f"case {kind} {phase!r}",
-            f"source {mu!r} {nu!r} {phase!r}",
-            f"usd {usd.q_mu!r} {usd.q_nu!r} {usd.xi_mu!r} {usd.xi_nu!r}",
-            f"channel {Y0!r} {E_D!r}",
-            f"errors {errors}",
-            f"bracket {lo!r} {hi!r}",
-        ])
-        entries.append("\n".join([inputs, *analysis_results(inputs)]))
+        bracket = _bracket(cfg, usd, ChannelParams.from_loss_db(40.0, y0=Y0, e_d=E_D), errors)
+        entries.append(_analysis_entry(
+            f"{kind} {phase!r}", (mu, nu, phase), (usd.q_mu, usd.q_nu, usd.xi_mu, usd.xi_nu),
+            (Y0, E_D), errors, bracket,
+        ))
+    for i, (mu, nu, phase, usd, y0, e_d, errors, end, bracket) in enumerate(LOSS_SCAN):
+        entries.append(_analysis_entry(
+            f"loss_scan seed 1 setting {i}", (mu, nu, phase), usd, (y0, e_d), errors, bracket,
+            scan=(0.0, end, 1.0),
+        ))
     return "\n\n".join(entries) + "\n"
 
 
