@@ -202,7 +202,7 @@ class TestCommands:
         ["crossover", "--set", "source.mu=1000", "--set", "source.nu=1"],
     ], ids=["bounds_overflow", "sweep_overflow", "region_overflow", "crossover_overflow"])
     def test_unevaluable_point_is_computation_error(self, argv, capsys, tmp_path):
-        # every command that evaluates the point exits 2 with its cause, never NaN rows
+        # every command that evaluates the point exits 2 with its cause
         out = tmp_path / "never.txt"
         assert cli.main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -278,11 +278,14 @@ class TestCommands:
 
 
 def test_config_sections_are_library_keywords():
-    # the commands pass the solver section as keywords and mc as TrialConfig fields
+    # the commands pass the solver section as keywords and mc as TrialConfig fields;
+    # the keyword defaults are the config defaults, so library and CLI agree
     for func in (analysis.evaluate_point, analysis.sweep, analysis.find_crossover,
                  analysis.success_region, attack.optimize_yields):
         params = inspect.signature(func).parameters
         assert DEFAULT_CONFIG["solver"].keys() <= params.keys(), func.__name__
+        for key, value in DEFAULT_CONFIG["solver"].items():
+            assert params[key].default == value, (func.__name__, key)
     fields = {f.name for f in dataclasses.fields(montecarlo.TrialConfig)}
     assert DEFAULT_CONFIG["mc"].keys() <= fields
 
