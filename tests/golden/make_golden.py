@@ -109,6 +109,13 @@ CLI_CASES = (
     "region --set solver.n_trunc=5 --set sweep.step_db=1",
     # a point the attack cannot reach
     "simulate --set channel.loss_db=0",
+    # far past the window, where the single-photon signal yield is zero
+    "bounds --set channel.loss_db=120",
+    # 0.01 dB across the loss where the single-photon signal yield reaches
+    # zero, for the defaults and for ideal USD with errors enforced
+    "sweep --set sweep.start_db=42.6 --set sweep.end_db=42.8 --set sweep.step_db=0.01",
+    "sweep --set usd.ideal=optimal --set solver.enforce_errors=true "
+    "--set sweep.start_db=21.6 --set sweep.end_db=21.8 --set sweep.step_db=0.01",
     # a background rate that pushes an observed gain above 1
     "bounds --set channel.y0=0.9 --set channel.loss_db=0",
     "sweep --set channel.y0=0.9 --set sweep.start_db=0 --set sweep.end_db=2",
