@@ -8,19 +8,27 @@ believed rate is positive so the parties do not abort).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
-from .attack import DEFAULT_N_TRUNC, UsdPerformance, optimize_yields
-from .coherent import SourceConfig
-from .decoy import ChannelParams, believed_rate
+import numpy as np
+
+from .attack import (DEFAULT_N_TRUNC, TRUNC_TAIL_TOL, UsdPerformance, key_rate_upper,
+                     optimize_yields)
+from .coherent import SourceConfig, _poisson_weights
+from .decoy import ChannelParams, believed_rate, normal_gains
 
 #: Root-finding resolution in dB.
 RESOLUTION_DB = 0.01
 
 #: Grid quantum for sweep losses; keeps refined grids exactly aligned.
 _MICRO_DB = 1e-6
+
+#: Relative distance from the zero-cost zonotope's boundary within which
+#: evaluate_point leaves a point to the LP solver.
+_ZERO_RATE_MARGIN = 1e-9
 
 
 class NoBracketError(ValueError):
@@ -79,6 +87,53 @@ class SuccessRegion:
             raise ValueError("require lower_db < upper_db")
 
 
+@functools.lru_cache(maxsize=256)
+def _zero_cost_chains(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
+    """Boundary chains (lower x, lower y, upper x, upper y) of the zero-cost gains.
+
+    Every yield column but Z_1^mu (costly when xi_mu > 0) and Z_1^nu (costly
+    when xi_mu < 1) adds [0, 1] * (its signal, decoy gain coefficients) at no
+    cost; together they span a 2-D zonotope, whose lower chain adds the
+    generators by rising slope and upper chain by falling slope. None when
+    n_trunc < 1 or the truncation tail exceeds TRUNC_TAIL_TOL, so every such
+    point reaches optimize_yields, the one place that warns about it.
+    Memoized like _poisson_weights: a sweep reuses one setting throughout.
+    """
+    p_mu, tail = _poisson_weights(mu, n_trunc)
+    if n_trunc < 1 or tail > TRUNC_TAIL_TOL:
+        return None
+    p_nu = _poisson_weights(nu, n_trunc)[0]
+    # columns Z^mu then Z^nu
+    gx = np.concatenate([usd.q_mu * usd.xi_mu * p_mu, usd.q_mu * (1.0 - usd.xi_mu) * p_mu])
+    gy = np.concatenate([usd.q_nu * (1.0 - usd.xi_nu) * p_nu, usd.q_nu * usd.xi_nu * p_nu])
+    free = (gx > 0.0) | (gy > 0.0)
+    free[[0, n_trunc]] &= [usd.xi_mu == 0.0, usd.xi_mu == 1.0]
+    rising = np.argsort(np.arctan2(gy[free], gx[free]), kind="stable")
+    return tuple(np.concatenate([[0.0], np.cumsum(g[free][order])])
+                 for order in (rising, rising[::-1]) for g in (gx, gy))
+
+
+def _zero_rate(cfg, usd, ch, n_trunc, enforce_errors) -> bool:
+    """Whether the yield LP's optimum is provably Y1_s = 0 at this point.
+
+    True when the normal-channel gains lie inside _zero_cost_chains'
+    zonotope by a relative _ZERO_RATE_MARGIN. Error budgets bind nothing
+    for ideal USD (xi_mu = xi_nu = 1, no forwarding errs); with measured USD
+    and enforced errors the point goes to the solver, as does a point near
+    the boundary or with non-finite, zero or negative gains.
+    """
+    if enforce_errors and not usd.xi_mu == usd.xi_nu == 1.0:
+        return False
+    chains = _zero_cost_chains(cfg.mu, cfg.nu, usd, n_trunc)
+    if chains is None:
+        return False
+    lo_x, lo_y, hi_x, hi_y = chains
+    target, m = normal_gains(cfg, ch), _ZERO_RATE_MARGIN
+    x, y = target.q_mu_gain, target.q_nu_gain
+    return bool(0.0 < x < lo_x[-1] * (1.0 - m)
+                and np.interp(x, lo_x, lo_y) * (1.0 + m) < y < np.interp(x, hi_x, hi_y) * (1.0 - m))
+
+
 def evaluate_point(
     cfg: SourceConfig,
     usd: UsdPerformance,
@@ -86,20 +141,26 @@ def evaluate_point(
     n_trunc: int = DEFAULT_N_TRUNC,
     enforce_errors: bool = False,
 ) -> SweepRow:
-    """Both bounds and the success verdict at one channel point."""
+    """Both bounds and the success verdict at one channel point.
+
+    A point with a provably zero single-photon signal yield (multi-photon
+    pulses alone reproduce the gains, see _zero_rate) skips the LP solver:
+    it is feasible with R^u = 0. Every other point goes to optimize_yields.
+    """
     r_low, gains, _ = believed_rate(cfg, ch)
-    sol = optimize_yields(cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors)
-    success = (
-        sol.feasible and sol.rate_upper is not None
-        and r_low > sol.rate_upper and r_low > 0.0
-    )
+    if _zero_rate(cfg, usd, ch, n_trunc, enforce_errors):
+        feasible, r_up = True, key_rate_upper(cfg, 0.0)
+    else:
+        sol = optimize_yields(cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors)
+        feasible, r_up = sol.feasible, sol.rate_upper
+    success = feasible and r_up is not None and r_low > r_up and r_low > 0.0
     return SweepRow(
         loss_db=ch.loss_db,
         eta=ch.eta,
         q_mu_gain=gains.q_mu_gain,
         r_lower=r_low,
-        r_upper=sol.rate_upper,
-        feasible=sol.feasible,
+        r_upper=r_up,
+        feasible=feasible,
         attack_success=success,
     )
 

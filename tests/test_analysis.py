@@ -214,14 +214,14 @@ class TestSuccessRegion:
     def test_bisection_starts_from_sweep_flags(self, monkeypatch):
         import qkdattack.analysis as analysis_mod
 
-        real = analysis_mod.optimize_yields
+        real = analysis_mod.evaluate_point
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[2])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(analysis_mod, "optimize_yields", counting)
+        monkeypatch.setattr(analysis_mod, "evaluate_point", counting)
         region = success_region(REF, TABLE_USD, BASE, (33.0, 52.0, 1.0))
         assert 33.0 < region.lower_db < region.upper_db < 52.0
         steps = math.ceil(math.log2(1.0 / RESOLUTION_DB))  # halvings of a 1 dB bracket
@@ -242,13 +242,13 @@ class TestSuccessRegion:
         rows = sweep(REF, TABLE_USD, BASE, *grid, enforce_errors=enforce)
         first = next(i for i, r in enumerate(rows) if r.attack_success)
         failing = next(r for r in rows[first:] if not r.attack_success)
-        real, calls = analysis_mod.optimize_yields, []
+        real, calls = analysis_mod.evaluate_point, []
 
         def counting(*args, **kwargs):
             calls.append(args[2])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(analysis_mod, "optimize_yields", counting)
+        monkeypatch.setattr(analysis_mod, "evaluate_point", counting)
         region = success_region(REF, TABLE_USD, BASE, grid, enforce_errors=enforce)
         assert len(calls) == len(rows) and first == 0
         fresh = evaluate_point(REF, TABLE_USD, BASE.at_loss_db(failing.loss_db),
