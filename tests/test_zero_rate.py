@@ -22,6 +22,8 @@ from qkdattack.attack import UsdPerformance, optimize_yields
 from qkdattack.coherent import SourceConfig, _poisson_weights, usd_success_optimal
 from qkdattack.decoy import ChannelParams, believed_rate, normal_gains
 
+from test_lp_screen import ceiling_eta
+
 N_TRUNC = 20
 REF = SourceConfig(mu=0.5, nu=0.1)
 TABLE_USD = UsdPerformance(q_mu=1.18e-3, q_nu=1.16e-3, xi_mu=0.9690, xi_nu=0.9837)
@@ -75,12 +77,6 @@ def zero_rate_eta(cfg, usd) -> float | None:
     return lo
 
 
-def ceiling_eta(mean, q) -> float:
-    """Transmittance whose normal gain equals the gain row's ceiling q sum_i P_i."""
-    ceiling = q * float(np.sum(stats.poisson.pmf(np.arange(1, N_TRUNC + 1), mean)))
-    return -math.log1p(-ceiling) / mean
-
-
 @st.composite
 def zero_rate_points(draw):
     """An ideal or measured setting at a loss near or far from a zonotope edge."""
@@ -94,7 +90,7 @@ def zero_rate_points(draw):
     # straddle the zero-rate edge, else the gain ceiling where the attack turns feasible
     edge = zero_rate_eta(cfg, usd)
     if edge is None or draw(st.sampled_from([False, False, True])):
-        edge = min(ceiling_eta(cfg.mu, usd.q_mu), ceiling_eta(cfg.nu, usd.q_nu))
+        edge = min(ceiling_eta(cfg.mu, usd.q_mu, N_TRUNC), ceiling_eta(cfg.nu, usd.q_nu, N_TRUNC))
     side = draw(st.sampled_from([-1.0, -1.0, 1.0])) * draw(st.sampled_from([1e-8, 1e-6, 0.9]))
     eta = min(1.0, edge * (1.0 + side * draw(st.floats(0.0, 1.0))))
     ch = ChannelParams(eta=eta, y0=draw(st.floats(0.0, 1e-6)), e_d=draw(st.floats(0.0, 0.05)))
@@ -126,8 +122,9 @@ def solver_calls(monkeypatch):
 @pytest.mark.parametrize("enforce_errors", [False, True])
 def test_certified_ideal_points_hold_the_fill_exactly(phase, enforce_errors, solver_calls):
     # ideal USD: the single-photon signal yield is zero exactly when the
-    # multi-photon pulses alone carry the signal gain, A <= sum_{i>=2} P_i^mu,
-    # and the decoy gain is reachable, Q_nu / q_nu <= sum_i P_i^nu
+    # multi-photon pulses alone carry the signal gain, A = Q_mu / q_mu <=
+    # sum_{i>=2} P_i^mu, and the decoy gain is reachable, Q_nu / q_nu <=
+    # sum_i P_i^nu; a certified point satisfies both strictly
     cfg = SourceConfig(mu=0.5, nu=0.1, theta_s=phase)
     q = usd_success_optimal(cfg)
     usd = UsdPerformance(q, q)
@@ -138,14 +135,13 @@ def test_certified_ideal_points_hold_the_fill_exactly(phase, enforce_errors, sol
     assert len(certified) > len(rows) // 4
     for row in certified:
         gains = normal_gains(cfg, BASE.at_loss_db(row.loss_db))
-        assert Fraction(gains.q_mu_gain) / Fraction(q) <= sum(p_mu[1:])
-        assert Fraction(gains.q_nu_gain) / Fraction(q) <= sum(p_nu)
+        assert Fraction(gains.q_mu_gain) / Fraction(usd.q_mu) < sum(p_mu[1:])
+        assert Fraction(gains.q_nu_gain) / Fraction(usd.q_nu) < sum(p_nu)
         assert row.feasible and row.r_upper == 0.0
 
 
-def test_census_of_a_default_sweep(solver_calls):
-    # every point past the Y1_s = 0 onset (42.7 dB) is certified, and the
-    # certified rows equal the solver's
+def test_default_sweep_skips_the_solver_past_the_onset(solver_calls):
+    # every point past the Y1_s = 0 onset (42.7 dB) is certified with R^u = 0
     rows = sweep(REF, TABLE_USD, BASE, 40.0, 50.0, 0.5)
     assert len(solver_calls) == sum(r.loss_db < 42.7 for r in rows)
     assert all(r.r_upper == 0.0 for r in rows if r.loss_db > 42.7)
