@@ -16,7 +16,8 @@ moved. A change that moves a byte regenerates the corpus and shows the diff.
   in process, for each argv in CLI_CASES.
 - analysis.txt: the repr of success_region over a 0-52 dB, 1 dB scan and
   of find_crossover over a stored bracket, for each case in CASES; then the
-  same over each LOSS_SCAN setting's own scan and bracket.
+  same over each LOSS_SCAN setting's own scan and bracket, and for each
+  EDGE_CASES setting.
 
 cli.txt and analysis.txt depend on the LP solver's bits, so they record the
 Python, numpy and scipy versions; test_golden.py compares exactly only when
@@ -86,6 +87,21 @@ LOSS_SCAN = (
      1.867e-07, 0.018, False, 52.0, (31.0, 49.5)),
 )
 
+# Windows whose ends the settings above do not reach, as (name, (mu, nu,
+# theta_s), (q_mu, q_nu, xi_mu, xi_nu), (y0, e_d), enforce_errors, bracket)
+# over REGION_SCAN.
+EDGE_CASES = (
+    # measured USD, gains only, with q_nu far below q_mu: the attack already
+    # succeeds where it turns feasible, so that onset is the lower end
+    ("feasibility onset", (0.426, 0.125, 0.0), (0.0114, 0.001725, 0.9975, 0.9023),
+     (1e-7, 0.02), False, (29.0, 52.0)),
+    # ideal USD at a high background with errors enforced: the rate aborts
+    # at 42.4 dB, well before the other settings' windows close
+    # (optimal USD, q at its ceiling)
+    ("ideal early rate_abort", (0.5, 0.3, 0.0),
+     (0.0063307087754438385, 0.0063307087754438385, 1.0, 1.0), (1e-6, 0.02), True, (27.75, 29.5)),
+)
+
 _PI = repr(math.pi)
 # Command lines of cli.txt. README invocations are pinned by test_cli's
 # test_readme_examples; --help and argparse's own messages vary by Python
@@ -100,6 +116,11 @@ CLI_CASES = (
     f"region --set usd.ideal=optimal --set source.theta_d={_PI} "
     "--set sweep.start_db=5 --set sweep.end_db=25 --set sweep.step_db=1",
     "crossover --set usd.ideal=linear_optics --set sweep.start_db=20 --set sweep.end_db=30",
+    # ideal USD with errors enforced
+    "region --set usd.ideal=optimal --set solver.enforce_errors=true "
+    "--set sweep.start_db=5 --set sweep.step_db=0.5",
+    "crossover --set usd.ideal=optimal --set solver.enforce_errors=true "
+    "--set sweep.start_db=20 --set sweep.end_db=30",
     # simulate variants, with and without --out
     "simulate --set solver.enforce_errors=true --set channel.loss_db=38",
     "simulate --set mc.n_pulses=300000 --out sim.json",
@@ -267,6 +288,8 @@ def make_analysis() -> str:
             f"loss_scan seed 1 setting {i}", (mu, nu, phase), usd, (y0, e_d), errors, bracket,
             scan=(0.0, end, 1.0),
         ))
+    for name, source, usd, channel, errors, bracket in EDGE_CASES:
+        entries.append(_analysis_entry(name, source, usd, channel, errors, bracket))
     return "\n\n".join(entries) + "\n"
 
 
