@@ -26,9 +26,11 @@ RESOLUTION_DB = 0.01
 #: Grid quantum for sweep losses; keeps refined grids exactly aligned.
 _MICRO_DB = 1e-6
 
-#: Relative distance from the zero-cost zonotope's boundary within which
-#: evaluate_point leaves a point to the LP solver.
-_ZERO_RATE_MARGIN = 1e-9
+#: Within these relative margins HiGHS decides a point: in each gain, of the
+#: free zonotope (Y1_s = 0) and of the full one (feasibility), 10x and 100x
+#: its 1e-7 primal feasibility tolerance; and of a tie |R_l - R_u| for region
+#: and crossover probes, where the exact R_u and HiGHS's agree to about 1e-5.
+_ZERO_RATE_MARGIN, _EDGE_MARGIN, _TIE_BAND = 1e-6, 1e-5, 1e-4
 
 
 class NoBracketError(ValueError):
@@ -88,50 +90,88 @@ class SuccessRegion:
 
 
 @functools.lru_cache(maxsize=256)
-def _zero_cost_chains(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
-    """Boundary chains (lower x, lower y, upper x, upper y) of the zero-cost gains.
+def _yield_geometry(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
+    """(free zonotope, full zonotope, [g_a g_b]) of the gains the yield columns reach.
 
-    Every yield column but Z_1^mu (costly when xi_mu > 0) and Z_1^nu (costly
-    when xi_mu < 1) adds [0, 1] * (its signal, decoy gain coefficients) at no
-    cost; together they span a 2-D zonotope, whose lower chain adds the
-    generators by rising slope and upper chain by falling slope. None when
-    n_trunc < 1 or the truncation tail exceeds TRUNC_TAIL_TOL, so every such
-    point reaches optimize_yields, the one place that warns about it.
-    Memoized like _poisson_weights: a sweep reuses one setting throughout.
-    """
+    A column adds [0, 1] * (its signal, decoy gain coefficients). All but Z_1^mu
+    (costly when xi_mu > 0) and Z_1^nu (costly when xi_mu < 1), generators g_a
+    and g_b, are free. A zonotope is (vertices counterclockwise from the
+    origin, two normal bounds, support values), the free one with margin
+    _ZERO_RATE_MARGIN and the full one with _EDGE_MARGIN. None when n_trunc
+    < 1, q_mu or q_nu is 0, or the truncation tail exceeds TRUNC_TAIL_TOL:
+    such points reach optimize_yields, the one place that warns about it."""
     p_mu, tail = _poisson_weights(mu, n_trunc)
-    if n_trunc < 1 or tail > TRUNC_TAIL_TOL:
+    if n_trunc < 1 or tail > TRUNC_TAIL_TOL or not usd.q_mu * usd.q_nu > 0.0:
         return None
     p_nu = _poisson_weights(nu, n_trunc)[0]
-    # columns Z^mu then Z^nu
+    # columns Z^mu then Z^nu, one generator a row
     gx = np.concatenate([usd.q_mu * usd.xi_mu * p_mu, usd.q_mu * (1.0 - usd.xi_mu) * p_mu])
     gy = np.concatenate([usd.q_nu * (1.0 - usd.xi_nu) * p_nu, usd.q_nu * usd.xi_nu * p_nu])
-    free = (gx > 0.0) | (gy > 0.0)
+    g = np.stack([gx, gy], 1)
+    used = (g > 0.0).any(axis=1)
+    free = used.copy()
     free[[0, n_trunc]] &= [usd.xi_mu == 0.0, usd.xi_mu == 1.0]
-    rising = np.argsort(np.arctan2(gy[free], gx[free]), kind="stable")
-    return tuple(np.concatenate([[0.0], np.cumsum(g[free][order])])
-                 for order in (rising, rising[::-1]) for g in (gx, gy))
+
+    def zonotope(mask, m):
+        # the generators by rising slope, then the same negated, walk the boundary
+        rising = g[mask][np.argsort(np.arctan2(g[mask, 1], g[mask, 0]), kind="stable")]
+        edges = np.concatenate([rising, -rising])
+        vertices = np.cumsum(edges, axis=0) - edges
+        # outward edge normals n, then the axes; over the box p * [1 - m, 1 + m]
+        # n reaches at most (n + m|n|) p and at least (n - m|n|) p
+        n = np.concatenate([edges[:, ::-1] * [1.0, -1.0], np.eye(2)])
+        return vertices, n + m * np.abs(n), n - m * np.abs(n), (n @ vertices.T).max(axis=1)
+
+    return zonotope(free, _ZERO_RATE_MARGIN), zonotope(used, _EDGE_MARGIN), g[[0, n_trunc]].T
 
 
-def _zero_rate(cfg, usd, ch, n_trunc, enforce_errors) -> bool:
-    """Whether the yield LP's optimum is provably Y1_s = 0 at this point.
+def _side(zonotope, p: np.ndarray) -> int:
+    """1 if the box p * [1 - m, 1 + m] of the zonotope's margin m lies inside it, -1
+    if one of its normals separates them (so they are disjoint), else 0."""
+    _, most, least, support = zonotope
+    return 1 if (most @ p < support).all() else -1 if (least @ p > support).any() else 0
 
-    True when the normal-channel gains lie inside _zero_cost_chains'
-    zonotope by a relative _ZERO_RATE_MARGIN. Error budgets bind nothing
-    for ideal USD (xi_mu = xi_nu = 1, no forwarding errs); with measured USD
-    and enforced errors the point goes to the solver, as does a point near
-    the boundary or with non-finite, zero or negative gains.
-    """
-    if enforce_errors and not usd.xi_mu == usd.xi_nu == 1.0:
-        return False
-    chains = _zero_cost_chains(cfg.mu, cfg.nu, usd, n_trunc)
-    if chains is None:
-        return False
-    lo_x, lo_y, hi_x, hi_y = chains
-    target, m = normal_gains(cfg, ch), _ZERO_RATE_MARGIN
-    x, y = target.q_mu_gain, target.q_nu_gain
-    return bool(0.0 < x < lo_x[-1] * (1.0 - m)
-                and np.interp(x, lo_x, lo_y) * (1.0 + m) < y < np.interp(x, hi_x, hi_y) * (1.0 - m))
+
+def _clip(poly: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Part of a convex polygon (vertices in order) where s, affine, given at them, is <= 0."""
+    s_next, after = np.concatenate([s[1:], s[:1]]), np.concatenate([poly[1:], poly[:1]])
+    cross = np.sign(s) * np.sign(s_next) < 0.0
+    t = (s / np.where(cross, s - s_next, 1.0))[:, None]
+    return np.stack([poly, poly + t * (after - poly)], 1)[np.stack([s <= 0.0, cross], 1)]
+
+
+def _exact_yield(cfg, usd, ch, n_trunc, enforce_errors, band=True):
+    """(feasible, Y1_s) of the yield LP from its geometry, or None to leave it to HiGHS.
+
+    For gains-only runs, and ideal USD (no error rows) with errors enforced.
+    Normal gains T in the free zonotope Z' cost nothing; outside the full one
+    no plan reaches them. Between, P_1^mu Y1_s = g_a,x u + g_b,x v is least at
+    a vertex of {u, v in [0, 1]: T - u g_a - v g_b in Z'}; for ideal USD it is
+    Q_mu - q_mu sum_{i>=2} P_i^mu. Without band only Y1_s = 0 is given. None
+    near either boundary, for gains not finite and positive, and where g_a
+    and g_b are free or near parallel."""
+    geometry = _yield_geometry(cfg.mu, cfg.nu, usd, n_trunc)
+    target = normal_gains(cfg, ch)
+    t = np.array([target.q_mu_gain, target.q_nu_gain])
+    ideal = usd.xi_mu == usd.xi_nu == 1.0
+    if geometry is None or enforce_errors and not ideal or not ((t > 0.0) & np.isfinite(t)).all():
+        return None
+    free, full, costly = geometry
+    zero = _side(free, t)
+    if zero >= 0 or not band:
+        return (True, 0.0) if zero > 0 else None
+    feasible = _side(full, t)
+    if feasible <= 0:
+        return (False, None) if feasible else None
+    cost = t[0] - free[0][:, 0].max() if ideal else math.nan  # nan: no exact shape, None
+    if 0.5 < usd.xi_mu < 1.0 and usd.xi_nu > 0.5:
+        uv = np.linalg.solve(costly, (t - free[0]).T).T
+        for axis in (0, 1):
+            uv = _clip(uv, -uv[:, axis])
+            uv = _clip(uv, uv[:, axis] - 1.0)
+        cost = np.min(uv @ costly[0], initial=math.inf)
+    y1s = float(cost / _poisson_weights(cfg.mu, n_trunc)[0][0])
+    return (True, y1s) if 0.0 < y1s <= 1.0 else None
 
 
 def evaluate_point(
@@ -144,13 +184,21 @@ def evaluate_point(
     """Both bounds and the success verdict at one channel point.
 
     A point with a provably zero single-photon signal yield (multi-photon
-    pulses alone reproduce the gains, see _zero_rate) skips the LP solver:
+    pulses alone reproduce the gains, see _exact_yield) skips the LP solver:
     it is feasible with R^u = 0. Every other point goes to optimize_yields.
     """
+    return _row(cfg, usd, ch, n_trunc, enforce_errors, False)
+
+
+def _row(cfg, usd, ch, n_trunc, enforce_errors, flags_only: bool) -> SweepRow:
+    """evaluate_point's row; with flags_only, R^u is _exact_yield's away from a tie,
+    so the flags are evaluate_point's but r_upper, not HiGHS's bits, is never printed."""
     r_low, gains, _ = believed_rate(cfg, ch)
-    if _zero_rate(cfg, usd, ch, n_trunc, enforce_errors):
-        feasible, r_up = True, key_rate_upper(cfg, 0.0)
-    else:
+    feasible, y1s = _exact_yield(cfg, usd, ch, n_trunc, enforce_errors, flags_only) or (None, None)
+    r_up = None if y1s is None else key_rate_upper(cfg, y1s)
+    # HiGHS meets the unit-scaled signal-gain row to 1e-7, moving its R_u by that share of Q_mu
+    if feasible is None or y1s and abs(r_low - r_up) <= (
+            _TIE_BAND * max(abs(r_low), r_up) + _ZERO_RATE_MARGIN * gains.q_mu_gain):
         sol = optimize_yields(cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors)
         feasible, r_up = sol.feasible, sol.rate_upper
     success = feasible and r_up is not None and r_low > r_up and r_low > 0.0
@@ -226,7 +274,8 @@ def find_crossover(
 
     Bisects r_lower - r_upper to 0.01 dB inside the given bracket. Both
     endpoints must be feasible (InfeasibleBracketError otherwise) and the
-    gap must change sign across them (NoBracketError otherwise).
+    gap must change sign across them (NoBracketError otherwise). The
+    endpoints are evaluate_point's rows; midpoints are _row's flags-only rows.
     """
     if not bracket_lo_db < bracket_hi_db:
         raise ValueError("bracket_lo_db must be below bracket_hi_db")
@@ -247,15 +296,17 @@ def find_crossover(
     # an infeasible point has no attainable upper bound, so it sits on the
     # attack-failing side of the crossing (gap effectively -inf)
     crossover, _ = _bisect(
-        point, lambda r: r.feasible and r.r_lower - r.r_upper > 0,
+        _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=True),
+        lambda r: r.feasible and r.r_lower - r.r_upper > 0,
         bracket_lo_db, bracket_hi_db, hi_row,
     )
     return crossover
 
 
-def _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors):
-    """point(loss): evaluate_point at that loss, labelled with it, not its eta round trip."""
-    return lambda loss: replace(evaluate_point(
+def _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=False):
+    """point(loss): evaluate_point's or _row's flags-only row, labelled with the loss."""
+    evaluate = functools.partial(_row, flags_only=True) if flags_only else evaluate_point
+    return lambda loss: replace(evaluate(
         cfg, usd, ch_base.at_loss_db(loss), n_trunc=n_trunc, enforce_errors=enforce_errors
     ), loss_db=loss)
 
@@ -287,22 +338,20 @@ def success_region(
 ) -> SuccessRegion:
     """Loss window where the attack succeeds, endpoints at 0.01 dB.
 
-    Scans the range at the given step, then bisects the success predicate
-    at each boundary of the first success window found. EmptyRegionError
-    is raised when no grid point succeeds, and a point's failure propagates.
+    Scans loss_grid(*sweep_range), then bisects the success predicate at
+    each boundary of the first success window found, all on _row's
+    flags-only rows. EmptyRegionError is raised when no grid point
+    succeeds, and a point's failure propagates.
     """
     start, end, step = sweep_range
-    rows = sweep(
-        cfg, usd, ch_base, start, end, step,
-        n_trunc=n_trunc, enforce_errors=enforce_errors,
-    )
+    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=True)
+    rows = [point(units * _MICRO_DB) for units in loss_grid(start, end, step)]
     flags = [r.attack_success for r in rows]
     if not any(flags):
         raise EmptyRegionError(
             f"no attack-success point in [{start}, {end}] dB at step {step}"
         )
 
-    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors)
     succeeds = attrgetter("attack_success")
     first = flags.index(True)
     if first == 0:

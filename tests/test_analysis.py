@@ -111,19 +111,21 @@ class TestSweep:
             )
 
     def test_point_failures_propagate(self, monkeypatch):
+        # believed_rate runs once at every point, whether the LP solver or
+        # the exact yield verdict answers it
         import qkdattack.analysis as analysis_mod
 
-        real = analysis_mod.optimize_yields
+        real = analysis_mod.believed_rate
 
-        def flaky(cfg, usd, ch, **kwargs):
+        def flaky(cfg, ch):
             if abs(ch.loss_db - 37.0) < 1e-6:
-                raise RuntimeError("solver hiccup")
-            return real(cfg, usd, ch, **kwargs)
+                raise RuntimeError("point hiccup")
+            return real(cfg, ch)
 
-        monkeypatch.setattr(analysis_mod, "optimize_yields", flaky)
-        with pytest.raises(RuntimeError, match="solver hiccup"):
+        monkeypatch.setattr(analysis_mod, "believed_rate", flaky)
+        with pytest.raises(RuntimeError, match="point hiccup"):
             sweep(REF, TABLE_USD, BASE, 36.0, 38.0, 1.0)
-        with pytest.raises(RuntimeError, match="solver hiccup"):
+        with pytest.raises(RuntimeError, match="point hiccup"):
             success_region(REF, TABLE_USD, BASE, (36.0, 38.0, 1.0))
 
 
@@ -212,16 +214,17 @@ class TestSuccessRegion:
             SuccessRegion(lower_db=40.0, upper_db=39.0)
 
     def test_bisection_starts_from_sweep_flags(self, monkeypatch):
+        # every probe, exact or solved, calls believed_rate once
         import qkdattack.analysis as analysis_mod
 
-        real = analysis_mod.evaluate_point
+        real = analysis_mod.believed_rate
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return real(*args, **kwargs)
+        def counting(cfg, ch):
+            calls.append(ch)
+            return real(cfg, ch)
 
-        monkeypatch.setattr(analysis_mod, "evaluate_point", counting)
+        monkeypatch.setattr(analysis_mod, "believed_rate", counting)
         region = success_region(REF, TABLE_USD, BASE, (33.0, 52.0, 1.0))
         assert 33.0 < region.lower_db < region.upper_db < 52.0
         steps = math.ceil(math.log2(1.0 / RESOLUTION_DB))  # halvings of a 1 dB bracket
@@ -242,13 +245,13 @@ class TestSuccessRegion:
         rows = sweep(REF, TABLE_USD, BASE, *grid, enforce_errors=enforce)
         first = next(i for i, r in enumerate(rows) if r.attack_success)
         failing = next(r for r in rows[first:] if not r.attack_success)
-        real, calls = analysis_mod.evaluate_point, []
+        real, calls = analysis_mod.believed_rate, []
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return real(*args, **kwargs)
+        def counting(cfg, ch):
+            calls.append(ch)
+            return real(cfg, ch)
 
-        monkeypatch.setattr(analysis_mod, "evaluate_point", counting)
+        monkeypatch.setattr(analysis_mod, "believed_rate", counting)
         region = success_region(REF, TABLE_USD, BASE, grid, enforce_errors=enforce)
         assert len(calls) == len(rows) and first == 0
         fresh = evaluate_point(REF, TABLE_USD, BASE.at_loss_db(failing.loss_db),
