@@ -163,7 +163,7 @@ def _exact_yield(cfg, usd, ch, n_trunc, enforce_errors, band=True):
     feasible = _side(full, t)
     if feasible <= 0:
         return (False, None) if feasible else None
-    cost = t[0] - free[0][:, 0].max() if ideal else math.nan  # nan: no exact shape, None
+    cost = t[0] - free[0][:, 0].max() if ideal else math.nan  # nan ends in None
     if 0.5 < usd.xi_mu < 1.0 and usd.xi_nu > 0.5:
         uv = np.linalg.solve(costly, (t - free[0]).T).T
         for axis in (0, 1):
@@ -304,7 +304,8 @@ def find_crossover(
 
 
 def _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=False):
-    """point(loss): evaluate_point's or _row's flags-only row, labelled with the loss."""
+    """point(loss): evaluate_point's row, or _row's flags-only one, at that loss,
+    labelled with it, not its eta round trip."""
     evaluate = functools.partial(_row, flags_only=True) if flags_only else evaluate_point
     return lambda loss: replace(evaluate(
         cfg, usd, ch_base.at_loss_db(loss), n_trunc=n_trunc, enforce_errors=enforce_errors

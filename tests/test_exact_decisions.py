@@ -107,11 +107,10 @@ def test_flag_rows_match_evaluate_point(probe):
         ref.feasible, ref.attack_success, ref.r_lower)
     exact = analysis._exact_yield(cfg, usd, ch, N_TRUNC, errors)
     if exact and exact[1]:
-        # the exact optimum and HiGHS's agree far inside the tie band
-        assert ref.r_upper == pytest.approx(key_rate_upper(cfg, exact[1]), rel=1e-5)
+        # the exact optimum and HiGHS's agree within half the 1e-4 tie band
+        assert ref.r_upper == pytest.approx(key_rate_upper(cfg, exact[1]), rel=0.5e-4)
     if exact and exact[1] and row.r_upper == key_rate_upper(cfg, exact[1]):
-        # decided from the exact R^u, so HiGHS's R^u is no closer to R_l than
-        # half the 1e-4 relative tie band
+        # decided from the exact R^u, so HiGHS's R^u is no tie with R_l either
         assert abs(ref.r_lower - ref.r_upper) > 0.5e-4 * max(abs(ref.r_lower), ref.r_upper)
 
 
