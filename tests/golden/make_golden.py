@@ -128,7 +128,8 @@ CLI_CASES = (
     # a photon-number truncation the library warns about
     "bounds --set solver.n_trunc=5 --set channel.loss_db=37",
     "region --set solver.n_trunc=5 --set sweep.step_db=1",
-    # a point the attack cannot reach
+    # a point the attack cannot reach, at a zero loss
+    "bounds --set channel.loss_db=0",
     "simulate --set channel.loss_db=0",
     # far past the window, where the single-photon signal yield is zero
     "bounds --set channel.loss_db=120",
