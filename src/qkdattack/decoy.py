@@ -50,8 +50,8 @@ class ChannelParams:
 
     @property
     def loss_db(self) -> float:
-        """Overall loss in dB, -10 log10(eta)."""
-        return -10.0 * math.log10(self.eta)
+        """Overall loss in dB, -10 log10(eta), and +0.0 (not -0.0) at eta = 1."""
+        return 0.0 - 10.0 * math.log10(self.eta)
 
     @classmethod
     def from_loss_db(cls, loss_db: float, y0: float = 0.0, e_d: float = 0.0) -> "ChannelParams":

@@ -55,6 +55,14 @@ class TestChannelParams:
         assert_allclose(ch.loss_db, 36.3, rtol=1e-12)
         assert_allclose(ch.eta, 10 ** -3.63, rtol=1e-12)
 
+    def test_loss_db_is_positive_zero_at_unit_eta(self):
+        assert math.copysign(1.0, ChannelParams(eta=1.0).loss_db) == 1.0
+        etas = [1.0 - 2.0 ** -53, 0.5, 10 ** -3.63, 1e-12, 5e-324]
+        etas += list(np.random.default_rng(3).uniform(1e-9, 1.0, 200))
+        for eta in etas:
+            want = -10.0 * math.log10(eta)
+            assert ChannelParams(eta=eta).loss_db.hex() == want.hex()
+
     def test_total_loss_composition(self):
         # 5% detector efficiency adds about 13.01 dB
         assert_allclose(total_loss_db(23.29, 0.05), 23.29 + 10 * math.log10(20), rtol=1e-12)
