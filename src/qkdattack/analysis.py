@@ -15,8 +15,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .attack import (DEFAULT_N_TRUNC, TRUNC_TAIL_TOL, UsdPerformance, key_rate_upper,
-                     optimize_yields)
+from .attack import (DEFAULT_N_TRUNC, TRUNC_TAIL_TOL, UsdPerformance, _yield_lp,
+                     key_rate_upper, optimize_yields)
 from .coherent import SourceConfig, _poisson_weights
 from .decoy import ChannelParams, believed_rate, normal_gains
 
@@ -93,24 +93,19 @@ class SuccessRegion:
 def _yield_geometry(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
     """(free zonotope, full zonotope, [g_a g_b]) of the gains the yield columns reach.
 
-    A column adds [0, 1] * (its signal, decoy gain coefficients). All but Z_1^mu
-    (costly when xi_mu > 0) and Z_1^nu (costly when xi_mu < 1), generators g_a
-    and g_b, are free. A zonotope is (vertices counterclockwise from the
-    origin, two normal bounds, support values), the free one with margin
-    _ZERO_RATE_MARGIN and the full one with _EDGE_MARGIN. None when n_trunc
-    < 1, q_mu or q_nu is 0, or the truncation tail exceeds TRUNC_TAIL_TOL:
-    such points reach optimize_yields, the one place that warns about it."""
-    p_mu, tail = _poisson_weights(mu, n_trunc)
+    A column adds [0, 1] * (its coefficients in attack._yield_lp's gain rows). Those
+    the objective Y_1^s costs, Z_1^mu and Z_1^nu with generators g_a and g_b, are not
+    free. A zonotope is (vertices counterclockwise from the origin, two normal bounds,
+    support values), the free one with margin _ZERO_RATE_MARGIN and the full one with
+    _EDGE_MARGIN. None when n_trunc < 1, q_mu or q_nu is 0, or the truncation tail
+    exceeds TRUNC_TAIL_TOL: such points reach optimize_yields, which alone warns of it."""
+    tail = _poisson_weights(mu, n_trunc)[1]
     if n_trunc < 1 or tail > TRUNC_TAIL_TOL or not usd.q_mu * usd.q_nu > 0.0:
         return None
-    p_nu = _poisson_weights(nu, n_trunc)[0]
-    # columns Z^mu then Z^nu, one generator a row
-    gx = np.concatenate([usd.q_mu * usd.xi_mu * p_mu, usd.q_mu * (1.0 - usd.xi_mu) * p_mu])
-    gy = np.concatenate([usd.q_nu * (1.0 - usd.xi_nu) * p_nu, usd.q_nu * usd.xi_nu * p_nu])
-    g = np.stack([gx, gy], 1)
+    rows, c, _ = _yield_lp(mu, nu, usd.q_mu, usd.q_nu, usd.xi_mu, usd.xi_nu, n_trunc)
+    g = rows[:2].T.copy()  # one generator a row, columns Z^mu then Z^nu
     used = (g > 0.0).any(axis=1)
-    free = used.copy()
-    free[[0, n_trunc]] &= [usd.xi_mu == 0.0, usd.xi_mu == 1.0]
+    free = used & (c == 0.0)
 
     def zonotope(mask, m):
         # the generators by rising slope, then the same negated, walk the boundary

@@ -11,6 +11,7 @@ gives the key-rate upper bound R^u = Y1_s * mu * e^(-mu).
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -154,6 +155,25 @@ def attack_gains(cfg: SourceConfig, usd: UsdPerformance, plan: YieldPlan) -> Gai
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _yield_lp(mu, nu, q_mu, q_nu, xi_mu, xi_nu, n_trunc):
+    """(rows, c, ceiling) of one setting's yield LP, memoized and read-only: the
+    signal and decoy gain rows, then error-product rows, over columns Z^mu then
+    Z^nu; the objective Y_1^s; and the gain rows' ceilings (see solve_yield_lp)."""
+    mix = np.array([[q_mu * xi_mu, q_mu * (1.0 - xi_mu)],
+                    [q_nu * (1.0 - xi_nu), q_nu * xi_nu]])
+    # only misidentified forwardings err, each with probability 1/2
+    errors = [[0.0, 0.5 * q_mu * (1.0 - xi_mu)], [0.5 * q_nu * (1.0 - xi_nu), 0.0]]
+    p = np.array([_poisson_weights(mu, n_trunc)[0], _poisson_weights(nu, n_trunc)[0]])
+    rows = (np.array([mix, errors])[..., None] * p[:, None, :]).reshape(4, 2 * n_trunc)
+    c = np.zeros(2 * n_trunc)
+    c[[0, n_trunc]] = mix[0]  # Y_1^s
+    ceiling = np.clip(rows[:2], 0.0, None).sum(axis=1)
+    for x in (rows, c, ceiling):
+        x.setflags(write=False)
+    return rows, c, ceiling
+
+
 def solve_yield_lp(
     mu: float,
     nu: float,
@@ -172,9 +192,9 @@ def solve_yield_lp(
     Variables are Z_i^mu, Z_i^nu in [0, 1] for i = 1..n_trunc. The gain
     equalities pin the Poisson-weighted yields to target_mu and target_nu;
     when error budgets are given, the misidentification error products are
-    additionally constrained below them. Rows are rescaled to unit right
-    hand side before calling the solver (raw coefficients span many orders
-    of magnitude at high loss).
+    additionally constrained below them. Each point rescales the rows it needs
+    of _yield_lp, built once per setting, to unit right hand side before the
+    solver (raw coefficients span many orders of magnitude at high loss).
 
     The objective is Y_1^s = q_mu [xi_mu Z_1^mu + (1 - xi_mu) Z_1^nu].
 
@@ -183,26 +203,16 @@ def solve_yield_lp(
     more than GAIN_CEILING_MARGIN, the point is reported infeasible without
     calling the solver.
     """
-    # rows: signal / decoy intensity; columns: Z^mu / Z^nu
-    mix = np.array([[q_mu * xi_mu, q_mu * (1.0 - xi_mu)],
-                    [q_nu * (1.0 - xi_nu), q_nu * xi_nu]])
-    tables, b = [mix], [target_mu, target_nu]
+    b = [target_mu, target_nu]
     if error_budget_mu is not None or error_budget_nu is not None:
         if error_budget_mu is None or error_budget_nu is None:
             raise ValueError("error budgets must be given for both intensities")
-        # only misidentified forwardings err, each with probability 1/2
-        tables.append([[0.0, 0.5 * q_mu * (1.0 - xi_mu)],
-                       [0.5 * q_nu * (1.0 - xi_nu), 0.0]])
         b += [error_budget_mu, error_budget_nu]
-    p = np.array([_poisson_weights(mu, n_trunc)[0], _poisson_weights(nu, n_trunc)[0]])
-    a = (np.array(tables)[..., None] * p[:, None, :]).reshape(len(b), 2 * n_trunc)
+    rows, c, ceiling = _yield_lp(mu, nu, q_mu, q_nu, xi_mu, xi_nu, n_trunc)
     b = np.array(b)
-    c = np.zeros(2 * n_trunc)
-    c[[0, n_trunc]] = mix[0]  # Y_1^s
     s = np.where(b > 0, b, 1.0)
-    a_s, b_s = a / s[:, None], b / s
+    a_s, b_s = rows[:len(b)] / s[:, None], b / s
 
-    ceiling = np.clip(a[:2], 0.0, None).sum(axis=1)
     short = (b[:2] > 0.0) & (ceiling < b[:2] * (1.0 - GAIN_CEILING_MARGIN))
     # non-finite inputs still go to linprog, which rejects them with ValueError
     if short.any() and all(np.isfinite(x).all() for x in (c, a_s, b_s)):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qkdattack import attack
+from qkdattack import analysis, attack
 from qkdattack.attack import (
     AttackSolution,
     UsdPerformance,
@@ -15,7 +15,7 @@ from qkdattack.attack import (
     optimize_yields,
     solve_yield_lp,
 )
-from qkdattack.coherent import SourceConfig, poisson_tail
+from qkdattack.coherent import SourceConfig, poisson_pmf, poisson_tail
 from qkdattack.decoy import ChannelParams, normal_gains
 from grid_oracle import grid_best_objective
 from reference_formulas import attack_gains_ref
@@ -114,6 +114,57 @@ class TestAttackGains:
             g = attack_gains(REF, usd, plan)
             assert g.emu_qmu <= g.q_mu_gain + 1e-15
             assert g.enu_qnu <= g.q_nu_gain + 1e-15
+
+
+# (mu, nu, q_mu, q_nu, xi_mu, xi_nu, n_trunc): measured, ideal, one column
+LP_SETTINGS = [
+    (0.5, 0.1, 1.18e-3, 1.16e-3, 0.969, 0.9837, 20),
+    (0.4986, 0.1177, 0.24057989944432956, 0.24057989944432956, 1.0, 1.0, 20),
+    (0.3, 0.3, 0.2, 0.1, 0.3, 0.6, 1),
+]
+
+
+class TestYieldLp:
+    @pytest.mark.parametrize("setting", LP_SETTINGS)
+    def test_read_only_and_built_once(self, setting):
+        table = attack._yield_lp(*setting)
+        again = attack._yield_lp(*setting)
+        assert all(x is y for x, y in zip(table, again))
+        for x in table:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+
+    @pytest.mark.parametrize("setting", LP_SETTINGS)
+    def test_rows_equal_a_fresh_build(self, setting):
+        mu, nu, q_mu, q_nu, xi_mu, xi_nu, n = setting
+        p_mu, p_nu = (poisson_pmf(m, np.arange(1, n + 1)) for m in (mu, nu))
+        gains = [np.concatenate([q_mu * xi_mu * p_mu, q_mu * (1.0 - xi_mu) * p_mu]),
+                 np.concatenate([q_nu * (1.0 - xi_nu) * p_nu, q_nu * xi_nu * p_nu])]
+        errors = [np.concatenate([0.0 * p_mu, 0.5 * q_mu * (1.0 - xi_mu) * p_mu]),
+                  np.concatenate([0.5 * q_nu * (1.0 - xi_nu) * p_nu, 0.0 * p_nu])]
+        c = np.zeros(2 * n)
+        c[0], c[n] = q_mu * xi_mu, q_mu * (1.0 - xi_mu)
+        ceiling = [np.clip(row, 0.0, None).sum() for row in gains]
+        rows, got_c, got_ceiling = attack._yield_lp(*setting)
+        assert repr(rows.tolist()) == repr([row.tolist() for row in gains + errors])
+        assert repr(got_c.tolist()) == repr(c.tolist())
+        assert repr(got_ceiling.tolist()) == repr([float(x) for x in ceiling])
+
+    @pytest.mark.parametrize("xi_mu", [0.0, 0.3, 0.969, 1.0])
+    def test_free_columns_are_those_the_objective_does_not_cost(self, xi_mu):
+        n = 20
+        rows = attack._yield_lp(0.5, 0.1, 1.18e-3, 1.16e-3, xi_mu, 0.9837, n)[0]
+        usd = UsdPerformance(q_mu=1.18e-3, q_nu=1.16e-3, xi_mu=xi_mu, xi_nu=0.9837)
+        vertices = analysis._yield_geometry(0.5, 0.1, usd, n)[0][0]
+        # every used column is free, but Z_1^mu unless xi_mu = 0 and Z_1^nu
+        # unless xi_mu = 1
+        g = rows[:2].T
+        free = (g > 0.0).any(axis=1)
+        free[[0, n]] &= [xi_mu == 0.0, xi_mu == 1.0]
+        m = int(free.sum())
+        # the free zonotope walks its m generators, then the same negated
+        assert len(vertices) == 2 * m
+        assert_allclose(vertices[m], g[free].sum(axis=0), rtol=1e-12)
 
 
 class TestOptimizeYields:
