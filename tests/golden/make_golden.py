@@ -4,7 +4,7 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
-It writes three files, each as text, so a failing diff shows which digit
+It writes four files, each as text, so a failing diff shows which digit
 moved. A change that moves a byte regenerates the corpus and shows the diff.
 
 - run_trials.txt: the EmpiricalStats repr of each case in CASES at three
@@ -18,10 +18,13 @@ moved. A change that moves a byte regenerates the corpus and shows the diff.
   of find_crossover over a stored bracket, for each case in CASES; then the
   same over each LOSS_SCAN setting's own scan and bracket, and for each
   EDGE_CASES setting.
+- demos.txt: stdout and written CSV files of each script in DEMOS, run in
+  process in an empty directory. usd_discrimination is left out: it prints
+  round-off of about 1e-16 from LAPACK, which varies between builds.
 
-cli.txt and analysis.txt depend on the LP solver's bits, so they record the
-Python, numpy and scipy versions; test_golden.py compares exactly only when
-numpy and scipy match.
+cli.txt, analysis.txt and demos.txt depend on the LP solver's bits, so they
+record the Python, numpy and scipy versions; test_golden.py compares them
+exactly only when numpy and scipy match.
 """
 import contextlib
 import io
@@ -29,6 +32,7 @@ import math
 import os
 import pathlib
 import platform
+import runpy
 import shlex
 import tempfile
 
@@ -162,6 +166,11 @@ CLI_CASES = (
 )
 
 
+# Scripts under demos/ whose output demos.txt holds.
+DEMOS = ("key_rate_bounds", "attack_success_region", "monte_carlo_check")
+DEMO_DIR = HERE.parents[1] / "demos"
+
+
 def versions() -> dict[str, str]:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__}
@@ -194,6 +203,30 @@ def cli_entry(command: str) -> str:
         if path.exists():
             lines += _stream(f"file {path}", path.read_text())
     return "\n".join(lines)
+
+
+def demo_entry(name: str) -> str:
+    """The corpus entry of one demo script, run in process in the current directory,
+    which holds no other files."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMO_DIR / f"{name}.py"), run_name="__main__")
+    lines = [f"demo {name}", *_stream("stdout", out.getvalue())]
+    for path in sorted(pathlib.Path().iterdir()):
+        lines += _stream(f"file {path}", path.read_text())
+    return "\n".join(lines)
+
+
+@contextlib.contextmanager
+def _scratch_dir():
+    """Run the body in a new empty directory, where written files land."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            yield
+        finally:
+            os.chdir(home)
 
 
 def analysis_results(case: str) -> list[str]:
@@ -250,13 +283,16 @@ def make_run_trials() -> str:
 
 
 def make_cli() -> str:
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)  # where --out files land
-        try:
-            entries = [cli_entry(command) for command in CLI_CASES]
-        finally:
-            os.chdir(home)
+    with _scratch_dir():  # where --out files land
+        entries = [cli_entry(command) for command in CLI_CASES]
+    return "\n\n".join(["\n".join(_header()), *entries]) + "\n"
+
+
+def make_demos() -> str:
+    entries = []
+    for name in DEMOS:
+        with _scratch_dir():
+            entries.append(demo_entry(name))
     return "\n\n".join(["\n".join(_header()), *entries]) + "\n"
 
 
@@ -297,7 +333,7 @@ def make_analysis() -> str:
 def main():
     os.environ.pop(cli.CONFIG_ENV_VAR, None)
     for name, make in (("run_trials.txt", make_run_trials), ("cli.txt", make_cli),
-                       ("analysis.txt", make_analysis)):
+                       ("analysis.txt", make_analysis), ("demos.txt", make_demos)):
         (HERE / name).write_text(make())
 
 

@@ -4,7 +4,7 @@ run_trials.txt holds Monte Carlo statistics, whose bits depend only on
 numpy; every case must match it exactly at every block size, and a failure
 names both numpy versions.
 
-cli.txt and analysis.txt depend on the LP solver too. Their headers record
+cli.txt, analysis.txt and demos.txt depend on the LP solver too. Their headers record
 the Python, numpy and scipy versions. When numpy and scipy match the
 running ones, every entry must match byte for byte. Otherwise the test
 warns that it runs in tolerant mode: text, exit codes, booleans, integers
@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 
-from make_golden import analysis_results, cli_entry, versions
+from make_golden import analysis_results, cli_entry, demo_entry, versions
 from qkdattack.attack import UsdPerformance, YieldPlan
 from qkdattack.cli import CONFIG_ENV_VAR
 from qkdattack.coherent import SourceConfig
@@ -38,6 +38,7 @@ def _corpus(name: str) -> tuple[dict[str, str], list[str]]:
 FIELDS, CASES = _corpus("run_trials.txt")
 CLI_HEADER, CLI_ENTRIES = _corpus("cli.txt")
 ANALYSIS_HEADER, ANALYSIS_ENTRIES = _corpus("analysis.txt")
+DEMO_HEADER, DEMO_ENTRIES = _corpus("demos.txt")
 
 
 def _first_line(entry: str, prefix: str) -> str:
@@ -104,3 +105,9 @@ def test_analysis_matches_corpus(entry):
     inputs = entry.split("\nregion ", 1)[0]
     got = "\n".join([inputs, *analysis_results(inputs)])
     _assert_matches("analysis.txt", ANALYSIS_HEADER, entry, got)
+
+
+@pytest.mark.parametrize("entry", DEMO_ENTRIES, ids=[_first_line(e, "demo ") for e in DEMO_ENTRIES])
+def test_demos_match_corpus(entry, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # an empty directory for the files a demo writes
+    _assert_matches("demos.txt", DEMO_HEADER, entry, demo_entry(_first_line(entry, "demo ")))
