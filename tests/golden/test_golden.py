@@ -4,12 +4,12 @@ run_trials.txt holds Monte Carlo statistics, whose bits depend only on
 numpy; every case must match it exactly at every block size, and a failure
 names both numpy versions.
 
-cli.txt, analysis.txt and demos.txt depend on the LP solver too. Their headers record
-the Python, numpy and scipy versions. When numpy and scipy match the
-running ones, every entry must match byte for byte. Otherwise the test
-warns that it runs in tolerant mode: text, exit codes, booleans, integers
-and numbers printed to at most two decimals must still match exactly, and
-other numbers to 1e-6 relative. No entry is ever skipped.
+cli.txt, analysis.txt and demos.txt depend on the LP solver too. Their
+headers record the Python, numpy and scipy versions. When numpy and scipy
+match the running ones, every entry must match byte for byte. Otherwise
+the test warns that it runs in tolerant mode: text, exit codes, booleans,
+integers and numbers printed to at most two decimals must still match
+exactly, and other numbers to 1e-6 relative. No entry is ever skipped.
 """
 import math
 import pathlib
