@@ -97,10 +97,10 @@ def _yield_geometry(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
     the objective Y_1^s costs, Z_1^mu and Z_1^nu with generators g_a and g_b, are not
     free. A zonotope is (vertices counterclockwise from the origin, two normal bounds,
     support values), the free one with margin _ZERO_RATE_MARGIN and the full one with
-    _EDGE_MARGIN. None when n_trunc < 1, q_mu or q_nu is 0, or the truncation tail
-    exceeds TRUNC_TAIL_TOL: such points reach optimize_yields, which alone warns of it."""
+    _EDGE_MARGIN. None when q_mu or q_nu is 0 or the truncation tail exceeds
+    TRUNC_TAIL_TOL: such points reach optimize_yields, which alone warns of it."""
     tail = _poisson_weights(mu, n_trunc)[1]
-    if n_trunc < 1 or tail > TRUNC_TAIL_TOL or not usd.q_mu * usd.q_nu > 0.0:
+    if tail > TRUNC_TAIL_TOL or not usd.q_mu * usd.q_nu > 0.0:
         return None
     rows, c, _ = _yield_lp(mu, nu, usd.q_mu, usd.q_nu, usd.xi_mu, usd.xi_nu, n_trunc)
     g = rows[:2].T.copy()  # one generator a row, columns Z^mu then Z^nu
@@ -135,16 +135,15 @@ def _clip(poly: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.stack([poly, poly + t * (after - poly)], 1)[np.stack([s <= 0.0, cross], 1)]
 
 
-def _exact_yield(cfg, usd, ch, n_trunc, enforce_errors, band=True):
+def _exact_yield(cfg, usd, ch, n_trunc, enforce_errors):
     """(feasible, Y1_s) of the yield LP from its geometry, or None to leave it to HiGHS.
 
     For gains-only runs, and ideal USD (no error rows) with errors enforced.
     Normal gains T in the free zonotope Z' cost nothing; outside the full one
     no plan reaches them. Between, P_1^mu Y1_s = g_a,x u + g_b,x v is least at
     a vertex of {u, v in [0, 1]: T - u g_a - v g_b in Z'}; for ideal USD it is
-    Q_mu - q_mu sum_{i>=2} P_i^mu. Without band only Y1_s = 0 is given. None
-    near either boundary, for gains not finite and positive, and where g_a
-    and g_b are free or near parallel."""
+    Q_mu - q_mu sum_{i>=2} P_i^mu. None near either boundary, for gains not
+    finite and positive, and where g_a and g_b are free or near parallel."""
     geometry = _yield_geometry(cfg.mu, cfg.nu, usd, n_trunc)
     target = normal_gains(cfg, ch)
     t = np.array([target.q_mu_gain, target.q_nu_gain])
@@ -153,8 +152,8 @@ def _exact_yield(cfg, usd, ch, n_trunc, enforce_errors, band=True):
         return None
     free, full, costly = geometry
     zero = _side(free, t)
-    if zero >= 0 or not band:
-        return (True, 0.0) if zero > 0 else None
+    if zero >= 0:
+        return (True, 0.0) if zero else None
     feasible = _side(full, t)
     if feasible <= 0:
         return (False, None) if feasible else None
@@ -178,22 +177,22 @@ def evaluate_point(
 ) -> SweepRow:
     """Both bounds and the success verdict at one channel point.
 
-    A point with a provably zero single-photon signal yield (multi-photon
-    pulses alone reproduce the gains, see _exact_yield) skips the LP solver:
-    it is feasible with R^u = 0. Every other point goes to optimize_yields.
+    The yield LP's geometry (see _exact_yield) gives the infeasible and the
+    R^u = 0 verdicts without the LP solver. A positive R^u, and every point
+    the geometry leaves undecided, come from optimize_yields.
     """
     return _row(cfg, usd, ch, n_trunc, enforce_errors, False)
 
 
 def _row(cfg, usd, ch, n_trunc, enforce_errors, flags_only: bool) -> SweepRow:
-    """evaluate_point's row; with flags_only, R^u is _exact_yield's away from a tie,
-    so the flags are evaluate_point's but r_upper, not HiGHS's bits, is never printed."""
+    """evaluate_point's row. With flags_only a positive R^u is _exact_yield's away from a
+    tie, so the flags are evaluate_point's but r_upper, not HiGHS's bits, is never printed."""
     r_low, gains, _ = believed_rate(cfg, ch)
-    feasible, y1s = _exact_yield(cfg, usd, ch, n_trunc, enforce_errors, flags_only) or (None, None)
+    feasible, y1s = _exact_yield(cfg, usd, ch, n_trunc, enforce_errors) or (None, None)
     r_up = None if y1s is None else key_rate_upper(cfg, y1s)
     # HiGHS meets the unit-scaled signal-gain row to 1e-7, moving its R_u by that share of Q_mu
-    if feasible is None or y1s and abs(r_low - r_up) <= (
-            _TIE_BAND * max(abs(r_low), r_up) + _ZERO_RATE_MARGIN * gains.q_mu_gain):
+    if feasible is None or y1s and (not flags_only or abs(r_low - r_up) <= (
+            _TIE_BAND * max(abs(r_low), r_up) + _ZERO_RATE_MARGIN * gains.q_mu_gain)):
         sol = optimize_yields(cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors)
         feasible, r_up = sol.feasible, sol.rate_upper
     success = feasible and r_up is not None and r_low > r_up and r_low > 0.0

@@ -147,8 +147,10 @@ def _poisson_weights(mean: float, n_trunc: int) -> tuple[np.ndarray, float]:
 
     Memoized per (mean, n_trunc): a loss sweep reuses one source setting at
     every point. Built from poisson_pmf and poisson_tail, so the values are
-    the same bits those return.
+    the same bits those return. A truncation below 1 is a ValueError.
     """
+    if n_trunc < 1:
+        raise ValueError(f"n_trunc must be >= 1, got {n_trunc}")
     pmf = poisson_pmf(mean, np.arange(1, n_trunc + 1))
     pmf.setflags(write=False)
     return pmf, poisson_tail(mean, n_trunc)

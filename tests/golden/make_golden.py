@@ -25,6 +25,10 @@ moved. A change that moves a byte regenerates the corpus and shows the diff.
 cli.txt, analysis.txt and demos.txt depend on the LP solver's bits, so they
 record the Python, numpy and scipy versions; test_golden.py compares them
 exactly only when numpy and scipy match.
+
+The fifth file, census.txt, is census.py's output, with the same header: one
+line per setting of the benchmark's loss_scan. census.py writes it, not this
+script, and CI compares it in exact mode; it takes about 40 s a run.
 """
 import contextlib
 import io

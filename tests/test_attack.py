@@ -223,6 +223,19 @@ class TestOptimizeYields:
         with pytest.warns(UserWarning, match="truncation"):
             optimize_yields(REF, TABLE_USD, reference_channel(40.0), n_trunc=3)
 
+    @pytest.mark.parametrize("n_trunc", [0, -1])
+    def test_truncation_below_one_is_a_value_error(self, n_trunc):
+        ch = reference_channel(40.0)
+        t = normal_gains(REF, ch)
+        for solve in (
+            lambda: solve_yield_lp(REF.mu, REF.nu, TABLE_USD.q_mu, TABLE_USD.q_nu, TABLE_USD.xi_mu,
+                                   TABLE_USD.xi_nu, n_trunc, t.q_mu_gain, t.q_nu_gain),
+            lambda: optimize_yields(REF, TABLE_USD, ch, n_trunc=n_trunc),
+            lambda: analysis.evaluate_point(REF, TABLE_USD, ch, n_trunc=n_trunc),
+        ):
+            with pytest.raises(ValueError, match=f"n_trunc must be >= 1, got {n_trunc}"):
+                solve()
+
 
 class TestLpLayer:
     def test_raw_solution_within_box(self):

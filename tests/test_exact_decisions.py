@@ -1,9 +1,12 @@
-"""Region and crossover probes decided from the exact yield LP optimum.
+"""Rows, region and crossover probes decided from the exact yield LP optimum.
 
-success_region and find_crossover read only a row's flags. Their probes take
-R^u from analysis._exact_yield wherever it decides the point and R_l is clear
-of a tie, and HiGHS's R^u elsewhere. Every such row must carry the flags
-evaluate_point gives, and every window must be the one an all-HiGHS run finds.
+Every row takes its infeasible and R^u = 0 verdicts from
+analysis._exact_yield; a printed row with a positive R^u keeps HiGHS's bits,
+and must equal an all-HiGHS row. success_region and find_crossover read only
+a row's flags. Their probes take R^u from analysis._exact_yield wherever it
+decides the point and R_l is clear of a tie, and HiGHS's R^u elsewhere. Every
+such row must carry the flags evaluate_point gives, and every window must be
+the one an all-HiGHS run finds.
 """
 import math
 import pathlib
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qkdattack.analysis as analysis
-from qkdattack.analysis import evaluate_point, find_crossover, success_region
+from qkdattack.analysis import evaluate_point, find_crossover, success_region, sweep
 from qkdattack.attack import UsdPerformance, key_rate_upper, optimize_yields
 from qkdattack.coherent import SourceConfig, _poisson_weights, usd_success_optimal
 from qkdattack.decoy import ChannelParams, normal_gains
@@ -23,7 +26,7 @@ from qkdattack.decoy import ChannelParams, normal_gains
 from test_zero_rate import in_zonotope, zero_rate_eta
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent / "golden"))
-from make_golden import CASES, analysis_results  # noqa: E402
+from make_golden import CASES, E_D, Y0, _usd, analysis_results  # noqa: E402
 
 N_TRUNC = 20
 REF = SourceConfig(mu=0.5, nu=0.1)
@@ -141,6 +144,36 @@ def test_windows_equal_all_solver_windows(entry, monkeypatch):
     exact = analysis_results(entry)
     monkeypatch.setattr(analysis, "_exact_yield", lambda *args: None)
     assert exact == analysis_results(entry)
+
+
+@pytest.mark.parametrize("case,enforce_errors", [
+    pytest.param(case, errors, id=f"{case[0]} {case[1]!r} errors {errors}")
+    for case in CASES for errors in sorted({False, case[5]})
+])
+def test_printed_rows_equal_all_solver_rows(case, enforce_errors, monkeypatch):
+    kind, phase, mu, nu = case[:4]
+    cfg = SourceConfig(mu=mu, nu=nu, theta_s=phase)
+    usd, base = _usd(kind, cfg, phase), ChannelParams(1.0, Y0, E_D)
+    solved = []
+    monkeypatch.setattr(analysis, "optimize_yields",
+                        lambda *a, **k: solved.append(a[2].eta) or optimize_yields(*a, **k))
+    rows = sweep(cfg, usd, base, 0.0, 52.0, 0.5, N_TRUNC, enforce_errors)
+    verdicts = [analysis._exact_yield(cfg, usd, base.at_loss_db(r.loss_db), N_TRUNC,
+                                      enforce_errors) for r in rows]
+    # HiGHS runs only where the geometry leaves the point undecided or R^u > 0
+    assert [r.eta in solved for r in rows] == [v is None or bool(v[1]) for v in verdicts]
+    assert len(solved) == len(set(solved))
+    if kind == "measured" and enforce_errors:  # its error rows bind, so HiGHS decides
+        assert verdicts == [None] * len(rows)
+    else:
+        assert (False, None) in verdicts and (True, 0.0) in verdicts
+    # and 1e-5 dB apart across each edge, where the geometry's margins decide
+    edges = [round(loss_db(e), 4) for e in (feasible_eta(cfg, usd), zero_rate_eta(cfg, usd)) if e]
+    ranges = [(0.0, 52.0, 0.5), *((e - 1e-4, e + 1e-4, 1e-5) for e in edges)]
+    printed = [rows] + [sweep(cfg, usd, base, *r, N_TRUNC, enforce_errors) for r in ranges[1:]]
+    monkeypatch.setattr(analysis, "_exact_yield", lambda *args: None)
+    assert repr(printed) == repr([sweep(cfg, usd, base, *r, N_TRUNC, enforce_errors)
+                                  for r in ranges])
 
 
 def test_measured_usd_with_errors_enforced_stays_on_the_solver(monkeypatch):

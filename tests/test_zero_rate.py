@@ -2,9 +2,11 @@
 
 Where the normal-channel gains lie inside the zonotope of the zero-cost
 yield columns, evaluate_point answers R^u = 0 without calling
-optimize_yields. Every row must equal the one built from believed_rate and
-optimize_yields, bit for bit; for ideal USD the certified points must also
-satisfy the photon-number-splitting fill in exact rational arithmetic.
+optimize_yields; where they lie outside the zonotope of all columns, it
+answers infeasible. Every row must equal the one built from believed_rate
+and optimize_yields, bit for bit; for ideal USD the rows decided without the
+solver must also satisfy the photon-number-splitting fill, or lie beyond the
+gain ceiling, in exact rational arithmetic.
 """
 import math
 from fractions import Fraction
@@ -125,23 +127,31 @@ def solver_calls(monkeypatch):
 @pytest.mark.parametrize("phase", [0.0, math.pi])
 @pytest.mark.parametrize("enforce_errors", [False, True])
 def test_certified_ideal_points_hold_the_fill_exactly(phase, enforce_errors, solver_calls):
-    # ideal USD: the single-photon signal yield is zero exactly when the
-    # multi-photon pulses alone carry the signal gain, A = Q_mu / q_mu <=
-    # sum_{i>=2} P_i^mu, and the decoy gain is reachable, Q_nu / q_nu <=
-    # sum_i P_i^nu; a certified point satisfies both strictly
+    # ideal USD decouples the LP: the single-photon signal yield is zero
+    # exactly when the multi-photon pulses alone carry the signal gain,
+    # A = Q_mu / q_mu <= sum_{i>=2} P_i^mu, and the decoy gain is reachable,
+    # Q_nu / q_nu <= sum_i P_i^nu; no plan exists exactly when a gain lies
+    # above its all-yields-1 ceiling, Q_alpha / q_alpha > sum_i P_i^alpha. A
+    # row decided without the solver meets its verdict's condition strictly
     cfg = SourceConfig(mu=0.5, nu=0.1, theta_s=phase)
     q = usd_success_optimal(cfg)
     usd = UsdPerformance(q, q)
     rows = sweep(cfg, usd, BASE, 0.0, 60.0, 0.25, enforce_errors=enforce_errors)
     p_mu, p_nu = (list(map(Fraction, _poisson_weights(m, N_TRUNC)[0])) for m in (cfg.mu, cfg.nu))
     solved = {ch.eta for ch in solver_calls}
-    certified = [r for r in rows if r.eta not in solved]
-    assert len(certified) > len(rows) // 4
+    certified = [r for r in rows if r.eta not in solved and r.feasible]
+    infeasible = [r for r in rows if r.eta not in solved and not r.feasible]
+    assert len(certified) > len(rows) // 4 and len(infeasible) > len(rows) // 20
     for row in certified:
         gains = normal_gains(cfg, BASE.at_loss_db(row.loss_db))
         assert Fraction(gains.q_mu_gain) / Fraction(usd.q_mu) < sum(p_mu[1:])
         assert Fraction(gains.q_nu_gain) / Fraction(usd.q_nu) < sum(p_nu)
-        assert row.feasible and row.r_upper == 0.0
+        assert row.r_upper == 0.0
+    for row in infeasible:
+        gains = normal_gains(cfg, BASE.at_loss_db(row.loss_db))
+        assert (Fraction(gains.q_mu_gain) / Fraction(usd.q_mu) > sum(p_mu)
+                or Fraction(gains.q_nu_gain) / Fraction(usd.q_nu) > sum(p_nu))
+        assert row.r_upper is None
 
 
 def test_default_sweep_skips_the_solver_past_the_onset(solver_calls):
