@@ -141,6 +141,18 @@ CLI_CASES = (
     "simulate --set channel.loss_db=0",
     # far past the window, where the single-photon signal yield is zero
     "bounds --set channel.loss_db=120",
+    # a loss where the decoy gain is exactly 0 and the signal gain 1.1e-16:
+    # no plan exists for measured USD; ideal USD and the simulated plan
+    # reach the solver
+    "bounds --set channel.loss_db=158 --set source.nu=0.001",
+    "bounds --set channel.loss_db=158 --set source.nu=0.001 --set usd.ideal=optimal",
+    "simulate --set channel.loss_db=158 --set source.nu=0.001",
+    # measured USD with errors enforced, where the printed R^u is 5.5% above
+    # the exact optimum (loss_scan seed 7, round 9, setting 78)
+    "bounds --set source.mu=0.4689 --set source.nu=0.1239 --set usd.q_mu=0.0011157 "
+    "--set usd.q_nu=0.001092 --set usd.xi_mu=0.9798 --set usd.xi_nu=0.9859 "
+    "--set channel.y0=6.735e-08 --set channel.e_d=0.0178 --set solver.enforce_errors=true "
+    "--set channel.loss_db=50.5",
     # 0.01 dB across the loss where the single-photon signal yield reaches
     # zero, for the defaults and for ideal USD with errors enforced
     "sweep --set sweep.start_db=42.6 --set sweep.end_db=42.8 --set sweep.step_db=0.01",
