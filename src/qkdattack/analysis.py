@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
-from .attack import (DEFAULT_N_TRUNC, TRUNC_TAIL_TOL, UsdPerformance, _yield_lp,
-                     key_rate_upper, optimize_yields)
+from .attack import (DEFAULT_N_TRUNC, GAIN_CEILING_MARGIN, TRUNC_TAIL_TOL, UsdPerformance,
+                     _yield_lp, key_rate_upper, optimize_yields)
 from .coherent import SourceConfig, _poisson_weights
 from .decoy import ChannelParams, believed_rate, normal_gains
 
@@ -26,11 +26,9 @@ RESOLUTION_DB = 0.01
 #: Grid quantum for sweep losses; keeps refined grids exactly aligned.
 _MICRO_DB = 1e-6
 
-#: Within these relative margins HiGHS decides a point: in each gain, of the
-#: free zonotope (Y1_s = 0) and of the full one (feasibility), 10x and 100x
-#: its 1e-7 primal feasibility tolerance; and of a tie |R_l - R_u| for region
-#: and crossover probes, where the exact R_u and HiGHS's agree to about 1e-5.
-_ZERO_RATE_MARGIN, _EDGE_MARGIN, _TIE_BAND = 1e-6, 1e-5, 1e-4
+#: Within this relative margin of a tie |R_l - R_u| HiGHS decides a region or
+#: crossover probe: there the exact R_u and HiGHS's agree to about 1e-5.
+_TIE_BAND = 1e-4
 
 
 class NoBracketError(ValueError):
@@ -96,9 +94,9 @@ def _yield_geometry(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
     A column adds [0, 1] * (its coefficients in attack._yield_lp's gain rows). Those
     the objective Y_1^s costs, Z_1^mu and Z_1^nu with generators g_a and g_b, are not
     free. A zonotope is (vertices counterclockwise from the origin, two normal bounds,
-    support values), the free one with margin _ZERO_RATE_MARGIN and the full one with
-    _EDGE_MARGIN. None when q_mu or q_nu is 0 or the truncation tail exceeds
-    TRUNC_TAIL_TOL: such points reach optimize_yields, which alone warns of it."""
+    support values), both with margin GAIN_CEILING_MARGIN, the solver's own. None when
+    q_mu or q_nu is 0 or the truncation tail exceeds TRUNC_TAIL_TOL: such points reach
+    optimize_yields, which alone warns of it."""
     tail = _poisson_weights(mu, n_trunc)[1]
     if tail > TRUNC_TAIL_TOL or not usd.q_mu * usd.q_nu > 0.0:
         return None
@@ -107,7 +105,7 @@ def _yield_geometry(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
     used = (g > 0.0).any(axis=1)
     free = used & (c == 0.0)
 
-    def zonotope(mask, m):
+    def zonotope(mask):
         # the generators by rising slope, then the same negated, walk the boundary
         rising = g[mask][np.argsort(np.arctan2(g[mask, 1], g[mask, 0]), kind="stable")]
         edges = np.concatenate([rising, -rising])
@@ -115,9 +113,10 @@ def _yield_geometry(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
         # outward edge normals n, then the axes; over the box p * [1 - m, 1 + m]
         # n reaches at most (n + m|n|) p and at least (n - m|n|) p
         n = np.concatenate([edges[:, ::-1] * [1.0, -1.0], np.eye(2)])
-        return vertices, n + m * np.abs(n), n - m * np.abs(n), (n @ vertices.T).max(axis=1)
+        m = GAIN_CEILING_MARGIN * np.abs(n)
+        return vertices, n + m, n - m, (n @ vertices.T).max(axis=1)
 
-    return zonotope(free, _ZERO_RATE_MARGIN), zonotope(used, _EDGE_MARGIN), g[[0, n_trunc]].T
+    return zonotope(free), zonotope(used), g[[0, n_trunc]].T
 
 
 def _side(zonotope, p: np.ndarray) -> int:
@@ -138,17 +137,17 @@ def _clip(poly: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _exact_yield(cfg, usd, ch, n_trunc, enforce_errors):
     """(feasible, Y1_s) of the yield LP from its geometry, or None to leave it to HiGHS.
 
-    For gains-only runs, and ideal USD (no error rows) with errors enforced.
-    Normal gains T in the free zonotope Z' cost nothing; outside the full one
-    no plan reaches them. Between, P_1^mu Y1_s = g_a,x u + g_b,x v is least at
-    a vertex of {u, v in [0, 1]: T - u g_a - v g_b in Z'}; for ideal USD it is
-    Q_mu - q_mu sum_{i>=2} P_i^mu. None near either boundary, for gains not
-    finite and positive, and where g_a and g_b are free or near parallel."""
+    For gains-only runs, and ideal USD (no error rows) with errors enforced. Normal gains
+    T in the free zonotope Z' cost nothing; outside the full one no plan reaches them.
+    Between, P_1^mu Y1_s = g_a,x u + g_b,x v is least at a vertex of {u, v in [0, 1]:
+    T - u g_a - v g_b in Z'}; for ideal USD it is Q_mu - q_mu sum_{i>=2} P_i^mu. None
+    near either boundary, for a gain not finite or Q_mu <= 0, and where g_a and g_b are
+    free or near parallel. Q_nu = 0 < Q_mu needs no exception: it lies inside no zonotope."""
     geometry = _yield_geometry(cfg.mu, cfg.nu, usd, n_trunc)
     target = normal_gains(cfg, ch)
     t = np.array([target.q_mu_gain, target.q_nu_gain])
     ideal = usd.xi_mu == usd.xi_nu == 1.0
-    if geometry is None or enforce_errors and not ideal or not ((t > 0.0) & np.isfinite(t)).all():
+    if geometry is None or enforce_errors and not ideal or t[0] <= 0.0 or not all(np.isfinite(t)):
         return None
     free, full, costly = geometry
     zero = _side(free, t)
@@ -175,29 +174,29 @@ def evaluate_point(
     n_trunc: int = DEFAULT_N_TRUNC,
     enforce_errors: bool = False,
 ) -> SweepRow:
-    """Both bounds and the success verdict at one channel point.
+    """Both bounds and the success verdict at one channel point, labelled ch.loss_db.
 
     The yield LP's geometry (see _exact_yield) gives the infeasible and the
     R^u = 0 verdicts without the LP solver. A positive R^u, and every point
     the geometry leaves undecided, come from optimize_yields.
     """
-    return _row(cfg, usd, ch, n_trunc, enforce_errors, False)
+    return _row(cfg, usd, ch, n_trunc, enforce_errors, False, ch.loss_db)
 
 
-def _row(cfg, usd, ch, n_trunc, enforce_errors, flags_only: bool) -> SweepRow:
-    """evaluate_point's row. With flags_only a positive R^u is _exact_yield's away from a
-    tie, so the flags are evaluate_point's but r_upper, not HiGHS's bits, is never printed."""
+def _row(cfg, usd, ch, n_trunc, enforce_errors, flags_only: bool, loss_db: float) -> SweepRow:
+    """evaluate_point's row, labelled loss_db. With flags_only a positive R^u is _exact_yield's
+    away from a tie: the flags are evaluate_point's, but r_upper (never printed) may differ."""
     r_low, gains, _ = believed_rate(cfg, ch)
     feasible, y1s = _exact_yield(cfg, usd, ch, n_trunc, enforce_errors) or (None, None)
     r_up = None if y1s is None else key_rate_upper(cfg, y1s)
     # HiGHS meets the unit-scaled signal-gain row to 1e-7, moving its R_u by that share of Q_mu
     if feasible is None or y1s and (not flags_only or abs(r_low - r_up) <= (
-            _TIE_BAND * max(abs(r_low), r_up) + _ZERO_RATE_MARGIN * gains.q_mu_gain)):
+            _TIE_BAND * max(abs(r_low), r_up) + GAIN_CEILING_MARGIN * gains.q_mu_gain)):
         sol = optimize_yields(cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors)
         feasible, r_up = sol.feasible, sol.rate_upper
     success = feasible and r_up is not None and r_low > r_up and r_low > 0.0
     return SweepRow(
-        loss_db=ch.loss_db,
+        loss_db=loss_db,
         eta=ch.eta,
         q_mu_gain=gains.q_mu_gain,
         r_lower=r_low,
@@ -298,12 +297,9 @@ def find_crossover(
 
 
 def _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=False):
-    """point(loss): evaluate_point's row, or _row's flags-only one, at that loss,
-    labelled with it, not its eta round trip."""
-    evaluate = functools.partial(_row, flags_only=True) if flags_only else evaluate_point
-    return lambda loss: replace(evaluate(
-        cfg, usd, ch_base.at_loss_db(loss), n_trunc=n_trunc, enforce_errors=enforce_errors
-    ), loss_db=loss)
+    """point(loss): _row at that loss, labelled with it, not its eta round trip."""
+    return lambda loss: _row(cfg, usd, ch_base.at_loss_db(loss), n_trunc, enforce_errors,
+                             flags_only, loss)
 
 
 def _bisect(point, flag, lo: float, hi: float, hi_row: SweepRow) -> tuple[float, SweepRow]:

@@ -32,10 +32,10 @@ DEFAULT_N_TRUNC = 20
 #: Truncation tail mass above which optimize_yields warns.
 TRUNC_TAIL_TOL = 1e-12
 
-#: Relative shortfall of a gain row's ceiling below its target beyond which
-#: solve_yield_lp reports infeasible without calling the solver. It is 10x
-#: HiGHS's primal feasibility tolerance (1e-7) on the unit right-hand-side
-#: rows the solver sees, so HiGHS cannot accept such a point either.
+#: Relative shortfall of a gain row's ceiling below its target beyond which solve_yield_lp
+#: reports infeasible without calling the solver; analysis._yield_geometry widens its edges,
+#: and analysis._row its tie test, by the same share. It is 10x HiGHS's primal feasibility
+#: tolerance (1e-7) on the unit right-hand-side rows it sees: HiGHS accepts no point beyond it.
 GAIN_CEILING_MARGIN = 1e-6
 
 

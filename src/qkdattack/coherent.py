@@ -165,19 +165,13 @@ def min_cutoff_for_tail(mean: float) -> int:
 
 
 def coherent_vector(alpha: complex, cutoff: int) -> CoherentVector:
-    """Fock coefficients of |alpha> up to the given photon-number cutoff."""
+    """Fock coefficients of |alpha> up to the given photon-number cutoff: the roots of
+    poisson_pmf at mean |alpha|^2 (the vacuum exactly at alpha = 0), with alpha's phases."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     n = np.arange(cutoff + 1)
     alpha = complex(alpha)
-    if alpha == 0:
-        coeffs = np.zeros(cutoff + 1, dtype=complex)
-        coeffs[0] = 1.0
-    else:
-        # log-space magnitudes, phases applied separately
-        log_mag = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) \
-            - 0.5 * np.cumsum(np.log(np.maximum(n, 1)))
-        coeffs = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+    coeffs = np.sqrt(poisson_pmf(abs(alpha) ** 2, n)) * np.exp(1j * n * np.angle(alpha))
     return CoherentVector(amplitude=alpha, cutoff=cutoff, coeffs=coeffs)
 
 

@@ -13,6 +13,12 @@ the number of check failures; a last line gives the total. Two trees whose
 census outputs are identical print the same sweep rows and windows on every
 setting. census.txt holds the output; CI compares it in exact mode, with the
 numpy and scipy that made it. A run takes about 40 s on 2 cores.
+
+The census covers rounds 0-2 only, while a 20 s benchmark run reaches
+rounds 10-25, so it does not see every setting the benchmark checks. One
+known check failure lies outside it: seed 7, round 9, setting 78 (measured
+USD with errors enforced, mu 0.4689, nu 0.1239), where the printed r_upper
+at 50.5 dB is 5.5% above the exact optimum.
 """
 import hashlib
 import pathlib

@@ -104,7 +104,7 @@ def probes(draw):
 def test_flag_rows_match_evaluate_point(probe):
     cfg, usd, base, errors, loss = probe
     ch = base.at_loss_db(loss)
-    row = analysis._row(cfg, usd, ch, N_TRUNC, errors, flags_only=True)
+    row = analysis._row(cfg, usd, ch, N_TRUNC, errors, True, ch.loss_db)
     ref = evaluate_point(cfg, usd, ch, N_TRUNC, errors)
     assert (row.feasible, row.attack_success, row.r_lower) == (
         ref.feasible, ref.attack_success, ref.r_lower)

@@ -6,9 +6,13 @@ optimize_yields; where they lie outside the zonotope of all columns, it
 answers infeasible. Every row must equal the one built from believed_rate
 and optimize_yields, bit for bit; for ideal USD the rows decided without the
 solver must also satisfy the photon-number-splitting fill, or lie beyond the
-gain ceiling, in exact rational arithmetic.
+gain ceiling, in exact rational arithmetic. The one exception is a zero
+decoy gain, where the geometry proves infeasible what HiGHS, within its
+tolerance, accepts; that proof is checked in exact arithmetic too.
 """
 import math
+import pathlib
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,6 +29,9 @@ from qkdattack.coherent import SourceConfig, _poisson_weights, usd_success_optim
 from qkdattack.decoy import ChannelParams, believed_rate, normal_gains
 
 from test_lp_screen import ceiling_eta
+
+sys.path.insert(0, str(pathlib.Path(__file__).parent / "golden"))
+from make_golden import CASES, _usd  # noqa: E402
 
 N_TRUNC = 20
 REF = SourceConfig(mu=0.5, nu=0.1)
@@ -175,7 +182,7 @@ class TestSolverFallback:
                 monkeypatch.setattr(module, "normal_gains", lambda cfg, ch: fake)
         return patch
 
-    @pytest.mark.parametrize("q_mu,q_nu", [(0.0, 1e-6), (1e-6, 0.0), (-1e-3, 1e-6)])
+    @pytest.mark.parametrize("q_mu,q_nu", [(0.0, 1e-6), (-1e-3, 1e-6)])
     def test_non_positive_targets_reach_the_solver(self, q_mu, q_nu, targets, solver_calls):
         targets(q_mu, q_nu)
         for usd in (TABLE_USD, UsdPerformance(0.01, 0.01)):
@@ -183,6 +190,46 @@ class TestSolverFallback:
             assert repr(row) == repr(reference_row(REF, usd, BASE, False))
             assert q_mu >= 0.0 or not row.feasible
         assert len(solver_calls) == 2
+
+    def test_zero_decoy_gain_is_decided_by_the_geometry(self, targets, solver_calls):
+        # Q_nu = 0 < Q_mu, as at 158 dB with nu = 0.001
+        targets(1e-6, 0.0)
+        # measured USD: every column that moves a gain moves the decoy gain, so
+        # Q_nu = 0 pins all of them to 0, and the signal gain the rest can
+        # reach is exactly 0 < Q_mu: no plan exists
+        rows, _, _ = attack._yield_lp(REF.mu, REF.nu, TABLE_USD.q_mu, TABLE_USD.q_nu,
+                                      TABLE_USD.xi_mu, TABLE_USD.xi_nu, N_TRUNC)
+        reach = sum(Fraction(a) for a, b in zip(rows[0], rows[1]) if Fraction(b) == 0)
+        assert reach == 0 < Fraction(1e-6)
+        row = evaluate_point(REF, TABLE_USD, BASE, N_TRUNC, False)
+        assert (row.feasible, row.r_upper, solver_calls) == (False, None, [])
+        # ideal USD: the decoys' columns move no signal gain, so (Q_mu, 0)
+        # lies on the free zonotope's bottom edge, which HiGHS decides
+        ideal = UsdPerformance(0.01, 0.01)
+        row = evaluate_point(REF, ideal, BASE, N_TRUNC, False)
+        assert repr(row) == repr(reference_row(REF, ideal, BASE, False))
+        assert len(solver_calls) == 1
+
+    @pytest.mark.parametrize("case", [c for c in CASES if c[0] != "measured"],
+                             ids=lambda c: f"{c[0]} {c[1]!r}")
+    def test_feasibility_edge_takes_the_solvers_margin(self, case, targets, solver_calls):
+        # ideal USD leaves the zonotope of all columns through the signal-gain
+        # ceiling solve_yield_lp screens: HiGHS decides gains within
+        # GAIN_CEILING_MARGIN beyond it, the geometry those beyond that
+        kind, phase, mu, nu, loss, errors = case[:6]
+        cfg = SourceConfig(mu=mu, nu=nu, theta_s=phase)
+        usd = _usd(kind, cfg, phase)
+        ceiling = attack._yield_lp(mu, nu, usd.q_mu, usd.q_nu, usd.xi_mu, usd.xi_nu, N_TRUNC)[2]
+        gains = normal_gains(cfg, BASE.at_loss_db(loss))
+        edge = ceiling[0] / gains.q_mu_gain  # scales the gains onto the signal ceiling
+        assert gains.q_nu_gain * edge < ceiling[1]
+        for factor, solved in ((0.5, 1), (2.0, 0)):
+            scale = edge * (1.0 + factor * attack.GAIN_CEILING_MARGIN)
+            targets(gains.q_mu_gain * scale, gains.q_nu_gain * scale)
+            row = evaluate_point(cfg, usd, BASE, N_TRUNC, errors)
+            assert repr(row) == repr(reference_row(cfg, usd, BASE, errors))
+            assert not row.feasible and len(solver_calls) == solved
+            solver_calls.clear()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf / inf
     @pytest.mark.parametrize("q_mu,q_nu", [(math.nan, 1e-6), (1e-6, math.nan),
