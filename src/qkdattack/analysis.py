@@ -185,7 +185,8 @@ def evaluate_point(
 
 def _row(cfg, usd, ch, n_trunc, enforce_errors, flags_only: bool, loss_db: float) -> SweepRow:
     """evaluate_point's row, labelled loss_db. With flags_only a positive R^u is _exact_yield's
-    away from a tie: the flags are evaluate_point's, but r_upper (never printed) may differ."""
+    away from a tie: the flags are evaluate_point's, but r_upper may differ. That r_upper is
+    printed only in the two .3e gaps of find_crossover's NoBracketError message."""
     r_low, gains, _ = believed_rate(cfg, ch)
     feasible, y1s = _exact_yield(cfg, usd, ch, n_trunc, enforce_errors) or (None, None)
     r_up = None if y1s is None else key_rate_upper(cfg, y1s)
@@ -267,12 +268,13 @@ def find_crossover(
 
     Bisects r_lower - r_upper to 0.01 dB inside the given bracket. Both
     endpoints must be feasible (InfeasibleBracketError otherwise) and the
-    gap must change sign across them (NoBracketError otherwise). The
-    endpoints are evaluate_point's rows; midpoints are _row's flags-only rows.
+    gap must change sign across them (NoBracketError otherwise). Every row
+    it reads, endpoints included, is a search row (_row's flags-only); the
+    two gaps in NoBracketError's message come from those rows.
     """
     if not bracket_lo_db < bracket_hi_db:
         raise ValueError("bracket_lo_db must be below bracket_hi_db")
-    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors)
+    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=True)
     lo_row, hi_row = point(bracket_lo_db), point(bracket_hi_db)
     bad = [L for L, r in ((bracket_lo_db, lo_row), (bracket_hi_db, hi_row))
            if not r.feasible]
@@ -289,8 +291,7 @@ def find_crossover(
     # an infeasible point has no attainable upper bound, so it sits on the
     # attack-failing side of the crossing (gap effectively -inf)
     crossover, _ = _bisect(
-        _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=True),
-        lambda r: r.feasible and r.r_lower - r.r_upper > 0,
+        point, lambda r: r.feasible and r.r_lower - r.r_upper > 0,
         bracket_lo_db, bracket_hi_db, hi_row,
     )
     return crossover

@@ -201,7 +201,7 @@ def solve_yield_lp(
     A gain row can reach at most the sum of its positive coefficients over
     the yield box. When that ceiling falls short of a positive target by
     more than GAIN_CEILING_MARGIN, the point is reported infeasible without
-    calling the solver.
+    calling the solver. A zero target fixes at 0 every yield that feeds it.
     """
     b = [target_mu, target_nu]
     if error_budget_mu is not None or error_budget_nu is not None:
@@ -218,8 +218,9 @@ def solve_yield_lp(
     if short.any() and all(np.isfinite(x).all() for x in (c, a_s, b_s)):
         return AttackSolution(feasible=False)
 
+    pinned = ((rows[:2] > 0.0) & (b[:2] == 0.0)[:, None]).any(axis=0)
     res = linprog(c, A_ub=a_s[2:], b_ub=b_s[2:], A_eq=a_s[:2], b_eq=b_s[:2],
-                  bounds=[(0.0, 1.0)] * (2 * n_trunc), method="highs")
+                  bounds=[(0.0, 0.0 if p else 1.0) for p in pinned], method="highs")
     if res.status == 2:
         return AttackSolution(feasible=False)
     if not res.success:

@@ -142,8 +142,8 @@ CLI_CASES = (
     # far past the window, where the single-photon signal yield is zero
     "bounds --set channel.loss_db=120",
     # a loss where the decoy gain is exactly 0 and the signal gain 1.1e-16:
-    # no plan exists for measured USD; ideal USD and the simulated plan
-    # reach the solver
+    # measured USD has no plan, so simulate exits 2; ideal USD reaches the
+    # solver, which fixes its decoy yields at 0
     "bounds --set channel.loss_db=158 --set source.nu=0.001",
     "bounds --set channel.loss_db=158 --set source.nu=0.001 --set usd.ideal=optimal",
     "simulate --set channel.loss_db=158 --set source.nu=0.001",

@@ -15,7 +15,7 @@ from qkdattack.attack import (
     optimize_yields,
     solve_yield_lp,
 )
-from qkdattack.coherent import SourceConfig, poisson_pmf, poisson_tail
+from qkdattack.coherent import SourceConfig, poisson_pmf, poisson_tail, usd_success_optimal
 from qkdattack.decoy import ChannelParams, normal_gains
 from grid_oracle import grid_best_objective
 from reference_formulas import attack_gains_ref
@@ -218,6 +218,19 @@ class TestOptimizeYields:
         usd = UsdPerformance(q_mu=0.0, q_nu=0.0)
         sol = optimize_yields(REF, usd, reference_channel(40.0))
         assert not sol.feasible
+
+    def test_zero_target_fixes_the_yields_that_feed_it(self):
+        # the decoy gain is exactly 0 and the signal gain 1.1e-16: no yield
+        # feeding the decoy row may be positive, so measured USD, whose every
+        # column feeds it, has no plan, and ideal USD forwards no decoy pulse
+        cfg, ch = SourceConfig(0.5, 0.001), ChannelParams.from_loss_db(158.0)
+        assert normal_gains(cfg, ch).q_nu_gain == 0.0 < normal_gains(cfg, ch).q_mu_gain
+        assert optimize_yields(cfg, TABLE_USD, ch).feasible is False
+        ideal = UsdPerformance(*[usd_success_optimal(cfg)] * 2)
+        sol = optimize_yields(cfg, ideal, ch)
+        assert sol.feasible
+        assert sol.plan.z_nu.tolist() == [0.0] * 20
+        assert attack_gains(cfg, ideal, sol.plan).q_nu_gain == 0.0
 
     def test_truncation_warning(self):
         with pytest.warns(UserWarning, match="truncation"):

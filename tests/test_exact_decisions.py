@@ -2,11 +2,13 @@
 
 Every row takes its infeasible and R^u = 0 verdicts from
 analysis._exact_yield; a printed row with a positive R^u keeps HiGHS's bits,
-and must equal an all-HiGHS row. success_region and find_crossover read only
-a row's flags. Their probes take R^u from analysis._exact_yield wherever it
-decides the point and R_l is clear of a tie, and HiGHS's R^u elsewhere. Every
-such row must carry the flags evaluate_point gives, and every window must be
-the one an all-HiGHS run finds.
+and must equal an all-HiGHS row. evaluate_point and sweep print rows;
+success_region and find_crossover search, and read only a row's flags. Every
+row a search reads, find_crossover's bracket endpoints included, takes R^u
+from analysis._exact_yield wherever it decides the point and R_l is clear of
+a tie, and HiGHS's R^u elsewhere. Every such row must carry the flags
+evaluate_point gives, and every window must be the one an all-HiGHS run
+finds.
 """
 import math
 import pathlib
@@ -192,14 +194,19 @@ def test_measured_usd_with_errors_enforced_stays_on_the_solver(monkeypatch):
         assert analysis._exact_yield(REF, TABLE_USD, ch, N_TRUNC, True) is None
 
 
-@pytest.mark.parametrize("usd,enforce_errors", [
-    (TABLE_USD, False),
-    (UsdPerformance(*[usd_success_optimal(REF)] * 2), False),
-    (UsdPerformance(*[usd_success_optimal(REF)] * 2), True),
+# crossover brackets of the README, the key_rate_bounds demo and cli.txt;
+# the ids name (usd, enforce_errors) only
+@pytest.mark.parametrize("usd,enforce_errors,bracket", [
+    pytest.param(TABLE_USD, False, (33.0, 44.0), id="usd0-False"),
+    pytest.param(UsdPerformance(*[usd_success_optimal(REF)] * 2), False, (17.0, 30.0),
+                 id="usd1-False"),
+    pytest.param(UsdPerformance(*[usd_success_optimal(REF)] * 2), True, (20.0, 30.0),
+                 id="usd2-True"),
 ])
-def test_windows_away_from_ties_skip_the_solver(usd, enforce_errors, monkeypatch):
-    # no scan or bisection probe of these windows lies at a tie or within a
-    # margin of a zonotope's edge, so the exact verdict answers every one
+def test_windows_away_from_ties_skip_the_solver(usd, enforce_errors, bracket, monkeypatch):
+    # no scan, bisection or crossover probe of these windows, bracket
+    # endpoints included, lies at a tie or within a margin of a zonotope's
+    # edge, so the exact verdict answers every one
     probes, solved = [], []
     real_rate = analysis.believed_rate
     monkeypatch.setattr(analysis, "believed_rate",
@@ -208,3 +215,6 @@ def test_windows_away_from_ties_skip_the_solver(usd, enforce_errors, monkeypatch
                         lambda *a, **k: solved.append(1) or optimize_yields(*a, **k))
     success_region(REF, usd, BASE, (0.0, 52.0, 0.5), enforce_errors=enforce_errors)
     assert len(probes) > 100 and not solved
+    scanned = len(probes)
+    find_crossover(REF, usd, BASE, *bracket, enforce_errors=enforce_errors)
+    assert len(probes) >= scanned + 12 and not solved  # two endpoints, ten midpoints or more

@@ -6,9 +6,9 @@ optimize_yields; where they lie outside the zonotope of all columns, it
 answers infeasible. Every row must equal the one built from believed_rate
 and optimize_yields, bit for bit; for ideal USD the rows decided without the
 solver must also satisfy the photon-number-splitting fill, or lie beyond the
-gain ceiling, in exact rational arithmetic. The one exception is a zero
-decoy gain, where the geometry proves infeasible what HiGHS, within its
-tolerance, accepts; that proof is checked in exact arithmetic too.
+gain ceiling, in exact rational arithmetic. A zero decoy gain is decided by
+the geometry, whose infeasibility proof is checked in exact arithmetic too;
+the solver agrees, since a zero target fixes the yields that feed it.
 """
 import math
 import pathlib
@@ -203,6 +203,7 @@ class TestSolverFallback:
         assert reach == 0 < Fraction(1e-6)
         row = evaluate_point(REF, TABLE_USD, BASE, N_TRUNC, False)
         assert (row.feasible, row.r_upper, solver_calls) == (False, None, [])
+        assert repr(row) == repr(reference_row(REF, TABLE_USD, BASE, False))
         # ideal USD: the decoys' columns move no signal gain, so (Q_mu, 0)
         # lies on the free zonotope's bottom edge, which HiGHS decides
         ideal = UsdPerformance(0.01, 0.01)
