@@ -8,7 +8,6 @@ believed rate is positive so the parties do not abort).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -87,17 +86,16 @@ class SuccessRegion:
             raise ValueError("require lower_db < upper_db")
 
 
-@functools.lru_cache(maxsize=256)
 def _yield_geometry(mu: float, nu: float, usd: UsdPerformance, n_trunc: int):
     """(free zonotope, full zonotope, [g_a g_b]) of the gains the yield columns reach.
 
-    A column adds [0, 1] * (its coefficients in attack._yield_lp's gain rows). Those
-    the objective Y_1^s costs, Z_1^mu and Z_1^nu with generators g_a and g_b, are not
-    free. A zonotope is (vertices counterclockwise from the origin, two normal bounds,
-    support values), both with margin GAIN_CEILING_MARGIN, the solver's own. None when
-    q_mu or q_nu is 0 or the truncation tail exceeds TRUNC_TAIL_TOL: such points reach
-    optimize_yields, which alone warns of it."""
-    tail = _poisson_weights(mu, n_trunc)[1]
+    Per setting: no loss enters it. A column adds [0, 1] * (its coefficients in
+    attack._yield_lp's gain rows). Those the objective Y_1^s costs, Z_1^mu and Z_1^nu with
+    generators g_a and g_b, are not free. A zonotope is (vertices counterclockwise from the
+    origin, two normal bounds, support values), both with margin GAIN_CEILING_MARGIN, the
+    solver's own. None when n_trunc < 1, q_mu or q_nu is 0 or the truncation tail exceeds
+    TRUNC_TAIL_TOL: such points reach optimize_yields, which alone raises or warns of it."""
+    tail = _poisson_weights(mu, n_trunc)[1] if n_trunc >= 1 else math.inf
     if tail > TRUNC_TAIL_TOL or not usd.q_mu * usd.q_nu > 0.0:
         return None
     rows, c, _ = _yield_lp(mu, nu, usd.q_mu, usd.q_nu, usd.xi_mu, usd.xi_nu, n_trunc)
@@ -134,39 +132,6 @@ def _clip(poly: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.stack([poly, poly + t * (after - poly)], 1)[np.stack([s <= 0.0, cross], 1)]
 
 
-def _exact_yield(cfg, usd, ch, n_trunc, enforce_errors):
-    """(feasible, Y1_s) of the yield LP from its geometry, or None to leave it to HiGHS.
-
-    For gains-only runs, and ideal USD (no error rows) with errors enforced. Normal gains
-    T in the free zonotope Z' cost nothing; outside the full one no plan reaches them.
-    Between, P_1^mu Y1_s = g_a,x u + g_b,x v is least at a vertex of {u, v in [0, 1]:
-    T - u g_a - v g_b in Z'}; for ideal USD it is Q_mu - q_mu sum_{i>=2} P_i^mu. None
-    near either boundary, for a gain not finite or Q_mu <= 0, and where g_a and g_b are
-    free or near parallel. Q_nu = 0 < Q_mu needs no exception: it lies inside no zonotope."""
-    geometry = _yield_geometry(cfg.mu, cfg.nu, usd, n_trunc)
-    target = normal_gains(cfg, ch)
-    t = np.array([target.q_mu_gain, target.q_nu_gain])
-    ideal = usd.xi_mu == usd.xi_nu == 1.0
-    if geometry is None or enforce_errors and not ideal or t[0] <= 0.0 or not all(np.isfinite(t)):
-        return None
-    free, full, costly = geometry
-    zero = _side(free, t)
-    if zero >= 0:
-        return (True, 0.0) if zero else None
-    feasible = _side(full, t)
-    if feasible <= 0:
-        return (False, None) if feasible else None
-    cost = t[0] - free[0][:, 0].max() if ideal else math.nan  # nan ends in None
-    if 0.5 < usd.xi_mu < 1.0 and usd.xi_nu > 0.5:
-        uv = np.linalg.solve(costly, (t - free[0]).T).T
-        for axis in (0, 1):
-            uv = _clip(uv, -uv[:, axis])
-            uv = _clip(uv, uv[:, axis] - 1.0)
-        cost = np.min(uv @ costly[0], initial=math.inf)
-    y1s = float(cost / _poisson_weights(cfg.mu, n_trunc)[0][0])
-    return (True, y1s) if 0.0 < y1s <= 1.0 else None
-
-
 def evaluate_point(
     cfg: SourceConfig,
     usd: UsdPerformance,
@@ -176,35 +141,76 @@ def evaluate_point(
 ) -> SweepRow:
     """Both bounds and the success verdict at one channel point, labelled ch.loss_db.
 
-    The yield LP's geometry (see _exact_yield) gives the infeasible and the
-    R^u = 0 verdicts without the LP solver. A positive R^u, and every point
-    the geometry leaves undecided, come from optimize_yields.
-    """
-    return _row(cfg, usd, ch, n_trunc, enforce_errors, False, ch.loss_db)
+    The one row of an _evaluator built for the setting: the setting's yield geometry decides
+    infeasible and R^u = 0 points from the point's normal gains; a positive R^u, and every
+    point left undecided, come from optimize_yields."""
+    return _evaluator(cfg, usd, n_trunc, enforce_errors)(ch, ch.loss_db)
 
 
-def _row(cfg, usd, ch, n_trunc, enforce_errors, flags_only: bool, loss_db: float) -> SweepRow:
-    """evaluate_point's row, labelled loss_db. With flags_only a positive R^u is _exact_yield's
-    away from a tie: the flags are evaluate_point's, but r_upper may differ. That r_upper is
-    printed only in the two .3e gaps of find_crossover's NoBracketError message."""
-    r_low, gains, _ = believed_rate(cfg, ch)
-    feasible, y1s = _exact_yield(cfg, usd, ch, n_trunc, enforce_errors) or (None, None)
-    r_up = None if y1s is None else key_rate_upper(cfg, y1s)
-    # HiGHS meets the unit-scaled signal-gain row to 1e-7, moving its R_u by that share of Q_mu
-    if feasible is None or y1s and (not flags_only or abs(r_low - r_up) <= (
-            _TIE_BAND * max(abs(r_low), r_up) + GAIN_CEILING_MARGIN * gains.q_mu_gain)):
-        sol = optimize_yields(cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors)
-        feasible, r_up = sol.feasible, sol.rate_upper
-    success = feasible and r_up is not None and r_low > r_up and r_low > 0.0
-    return SweepRow(
-        loss_db=loss_db,
-        eta=ch.eta,
-        q_mu_gain=gains.q_mu_gain,
-        r_lower=r_low,
-        r_upper=r_up,
-        feasible=feasible,
-        attack_success=success,
-    )
+def _evaluator(cfg, usd, n_trunc, enforce_errors, flags_only=False):
+    """row(ch, loss_db): evaluate_point's row at channel point ch, labelled loss_db.
+
+    Per setting, once: the yield geometry, P_1^mu, the largest signal gain of the free
+    zonotope Z', and whether the USD is ideal and its (u, v) square needs clipping. Measured USD
+    with errors enforced gets no geometry, as its error rows bind. Per point: R_l and the
+    normal gains T. T in Z' costs nothing; outside the full zonotope no plan reaches it.
+    Between, P_1^mu Y1_s = g_a,x u + g_b,x v is least at a vertex of {u, v in [0, 1]: T -
+    u g_a - v g_b in Z'}; for ideal USD it is Q_mu - q_mu sum_{i>=2} P_i^mu. HiGHS gives a
+    printed row's positive R^u and decides near either boundary, for a gain not finite or
+    Q_mu <= 0, and where g_a and g_b are free or near parallel. Q_nu = 0 < Q_mu lies inside
+    no zonotope. A flags_only row takes a positive R^u from the geometry away from a tie:
+    its flags are evaluate_point's; its r_upper, printed only in NoBracketError, may not be."""
+    ideal = usd.xi_mu == usd.xi_nu == 1.0
+    clip = 0.5 < usd.xi_mu < 1.0 and usd.xi_nu > 0.5
+    geometry = None if enforce_errors and not ideal else _yield_geometry(
+        cfg.mu, cfg.nu, usd, n_trunc)
+    if geometry is not None:
+        (free, full, costly), p_1 = geometry, _poisson_weights(cfg.mu, n_trunc)[0][0]
+        reach = free[0][:, 0].max() if ideal else math.nan  # nan ends in None
+
+    def exact(ch):
+        """(feasible, Y1_s) from the geometry at ch, or None to leave it to HiGHS."""
+        target = normal_gains(cfg, ch)
+        t = np.array([target.q_mu_gain, target.q_nu_gain])
+        if t[0] <= 0.0 or not all(np.isfinite(t)):
+            return None
+        zero = _side(free, t)
+        if zero >= 0:
+            return (True, 0.0) if zero else None
+        feasible = _side(full, t)
+        if feasible <= 0:
+            return (False, None) if feasible else None
+        cost = t[0] - reach
+        if clip:
+            uv = np.linalg.solve(costly, (t - free[0]).T).T
+            for axis in (0, 1):
+                uv = _clip(uv, -uv[:, axis])
+                uv = _clip(uv, uv[:, axis] - 1.0)
+            cost = np.min(uv @ costly[0], initial=math.inf)
+        y1s = float(cost / p_1)
+        return (True, y1s) if 0.0 < y1s <= 1.0 else None
+
+    def row(ch, loss_db):
+        r_low, gains, _ = believed_rate(cfg, ch)
+        feasible, y1s = geometry and exact(ch) or (None, None)
+        r_up = None if y1s is None else key_rate_upper(cfg, y1s)
+        # HiGHS meets the unit-scaled signal-gain row to 1e-7, moving its R_u by that share of Q_mu
+        if feasible is None or y1s and (not flags_only or abs(r_low - r_up) <= (
+                _TIE_BAND * max(abs(r_low), r_up) + GAIN_CEILING_MARGIN * gains.q_mu_gain)):
+            sol = optimize_yields(cfg, usd, ch, n_trunc=n_trunc, enforce_errors=enforce_errors)
+            feasible, r_up = sol.feasible, sol.rate_upper
+        success = feasible and r_up is not None and r_low > r_up and r_low > 0.0
+        return SweepRow(
+            loss_db=loss_db,
+            eta=ch.eta,
+            q_mu_gain=gains.q_mu_gain,
+            r_lower=r_low,
+            r_upper=r_up,
+            feasible=feasible,
+            attack_success=success,
+        )
+
+    return row
 
 
 def loss_grid(loss_start_db: float, loss_end_db: float, step_db: float) -> range:
@@ -250,9 +256,9 @@ def sweep(
     evaluation is pure, so rows depend only on their own loss value. A
     point whose evaluation fails raises its error, as evaluate_point does.
     """
-    grid = loss_grid(loss_start_db, loss_end_db, step_db)
-    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors)
-    return [point(units * _MICRO_DB) for units in grid]
+    losses = [units * _MICRO_DB for units in loss_grid(loss_start_db, loss_end_db, step_db)]
+    row = _evaluator(cfg, usd, n_trunc, enforce_errors)
+    return [row(ch_base.at_loss_db(loss), loss) for loss in losses]
 
 
 def find_crossover(
@@ -269,20 +275,19 @@ def find_crossover(
     Bisects r_lower - r_upper to 0.01 dB inside the given bracket. Both
     endpoints must be feasible (InfeasibleBracketError otherwise) and the
     gap must change sign across them (NoBracketError otherwise). Every row
-    it reads, endpoints included, is a search row (_row's flags-only); the
+    it reads, endpoints included, is a search row (_evaluator's flags_only); the
     two gaps in NoBracketError's message come from those rows.
     """
     if not bracket_lo_db < bracket_hi_db:
         raise ValueError("bracket_lo_db must be below bracket_hi_db")
-    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=True)
-    lo_row, hi_row = point(bracket_lo_db), point(bracket_hi_db)
-    bad = [L for L, r in ((bracket_lo_db, lo_row), (bracket_hi_db, hi_row))
-           if not r.feasible]
+    row = _evaluator(cfg, usd, n_trunc, enforce_errors, flags_only=True)
+    at_lo, at_hi = (row(ch_base.at_loss_db(L), L) for L in (bracket_lo_db, bracket_hi_db))
+    bad = [r.loss_db for r in (at_lo, at_hi) if not r.feasible]
     if bad:
         raise InfeasibleBracketError(
             f"no feasible attack at bracket endpoint(s) {bad} dB"
         )
-    g_lo, g_hi = (r.r_lower - r.r_upper for r in (lo_row, hi_row))
+    g_lo, g_hi = (r.r_lower - r.r_upper for r in (at_lo, at_hi))
     if (g_lo > 0) == (g_hi > 0):
         raise NoBracketError(
             f"r_lower - r_upper has the same sign at {bracket_lo_db} dB "
@@ -291,33 +296,27 @@ def find_crossover(
     # an infeasible point has no attainable upper bound, so it sits on the
     # attack-failing side of the crossing (gap effectively -inf)
     crossover, _ = _bisect(
-        point, lambda r: r.feasible and r.r_lower - r.r_upper > 0,
-        bracket_lo_db, bracket_hi_db, hi_row,
+        row, ch_base, lambda r: r.feasible and r.r_lower - r.r_upper > 0,
+        bracket_lo_db, bracket_hi_db, at_hi,
     )
     return crossover
 
 
-def _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=False):
-    """point(loss): _row at that loss, labelled with it, not its eta round trip."""
-    return lambda loss: _row(cfg, usd, ch_base.at_loss_db(loss), n_trunc, enforce_errors,
-                             flags_only, loss)
+def _bisect(row, ch_base, flag, lo: float, hi: float, at_hi) -> tuple[float, SweepRow]:
+    """Boundary of flag(row(ch_base at loss, loss)), which holds at lo exactly when not at hi.
 
-
-def _bisect(point, flag, lo: float, hi: float, hi_row: SweepRow) -> tuple[float, SweepRow]:
-    """Boundary of flag(point(loss)), which holds at lo exactly when not at hi.
-
-    hi_row is point(hi). Returns (midpoint, row at the final hi); the final
+    at_hi is the SweepRow at hi. Returns (midpoint, row at the final hi); the final
     endpoints keep the flags the initial ones had.
     """
-    lo_flag = not flag(hi_row)
+    lo_flag = not flag(at_hi)
     while hi - lo > RESOLUTION_DB:
         mid = 0.5 * (lo + hi)
-        row = point(mid)
-        if flag(row) == lo_flag:
+        at_mid = row(ch_base.at_loss_db(mid), mid)
+        if flag(at_mid) == lo_flag:
             lo = mid
         else:
-            hi, hi_row = mid, row
-    return 0.5 * (lo + hi), hi_row
+            hi, at_hi = mid, at_mid
+    return 0.5 * (lo + hi), at_hi
 
 
 def success_region(
@@ -331,13 +330,14 @@ def success_region(
     """Loss window where the attack succeeds, endpoints at 0.01 dB.
 
     Scans loss_grid(*sweep_range), then bisects the success predicate at
-    each boundary of the first success window found, all on _row's
-    flags-only rows. EmptyRegionError is raised when no grid point
+    each boundary of the first success window found, all on _evaluator's
+    flags_only rows. EmptyRegionError is raised when no grid point
     succeeds, and a point's failure propagates.
     """
     start, end, step = sweep_range
-    point = _evaluator(cfg, usd, ch_base, n_trunc, enforce_errors, flags_only=True)
-    rows = [point(units * _MICRO_DB) for units in loss_grid(start, end, step)]
+    losses = [units * _MICRO_DB for units in loss_grid(start, end, step)]
+    row = _evaluator(cfg, usd, n_trunc, enforce_errors, flags_only=True)
+    rows = [row(ch_base.at_loss_db(loss), loss) for loss in losses]
     flags = [r.attack_success for r in rows]
     if not any(flags):
         raise EmptyRegionError(
@@ -350,14 +350,14 @@ def success_region(
         lower = rows[0].loss_db
     else:
         lower, _ = _bisect(
-            point, succeeds, rows[first - 1].loss_db, rows[first].loss_db, rows[first]
+            row, ch_base, succeeds, rows[first - 1].loss_db, rows[first].loss_db, rows[first]
         )
 
     after = next((j for j in range(first + 1, len(rows)) if not flags[j]), None)
     if after is None:
         return SuccessRegion(lower_db=lower, upper_db=None, upper_mechanism=None)
     upper, failing = _bisect(
-        point, succeeds, rows[after - 1].loss_db, rows[after].loss_db, rows[after]
+        row, ch_base, succeeds, rows[after - 1].loss_db, rows[after].loss_db, rows[after]
     )
 
     # classify what breaks the success predicate just above the endpoint

@@ -28,7 +28,10 @@ exactly only when numpy and scipy match.
 
 The fifth file, census.txt, is census.py's output, with the same header: one
 line per setting of the benchmark's loss_scan. census.py writes it, not this
-script, and CI compares it in exact mode; it takes about 40 s a run.
+script, and CI compares it in exact mode; it takes about 40 s a run. The
+sixth, census_deep.txt, is census.py --deep's output: one line per loss_scan
+round that a 20 s benchmark run reaches beyond census.txt's, also compared
+in exact mode; it takes about 2.5 min a run on 2 cores.
 """
 import contextlib
 import io

@@ -1,14 +1,15 @@
 """Rows, region and crossover probes decided from the exact yield LP optimum.
 
-Every row takes its infeasible and R^u = 0 verdicts from
-analysis._exact_yield; a printed row with a positive R^u keeps HiGHS's bits,
-and must equal an all-HiGHS row. evaluate_point and sweep print rows;
-success_region and find_crossover search, and read only a row's flags. Every
-row a search reads, find_crossover's bracket endpoints included, takes R^u
-from analysis._exact_yield wherever it decides the point and R_l is clear of
-a tie, and HiGHS's R^u elsewhere. Every such row must carry the flags
-evaluate_point gives, and every window must be the one an all-HiGHS run
-finds.
+Every row comes from an analysis._evaluator, built once per setting, and
+takes its infeasible and R^u = 0 verdicts from the setting's yield geometry;
+a printed row with a positive R^u keeps HiGHS's bits, and must equal an
+all-HiGHS row, which a setting without geometry gives. evaluate_point and
+sweep print rows; success_region and find_crossover search, and read only a
+row's flags. Every row a search reads, find_crossover's bracket endpoints
+included, takes R^u from the geometry wherever it decides the point and R_l
+is clear of a tie, and HiGHS's R^u elsewhere. Every such row must carry the
+flags evaluate_point gives, and every window must be the one an all-HiGHS
+run finds.
 """
 import math
 import pathlib
@@ -62,6 +63,31 @@ def loss_db(eta: float) -> float:
     return -10.0 * math.log10(eta)
 
 
+def search_row(cfg, usd, ch, enforce_errors):
+    """(flags-only row at ch, the geometry's verdict there).
+
+    The verdict is (feasible, Y1_s) as the yield geometry decides the point,
+    or None where it leaves the point to HiGHS. The row turns the geometry's
+    Y1_s into R^u through analysis's own key_rate_upper, and reaches
+    optimize_yields only where the geometry leaves the point or R_l is at a
+    tie with that R^u.
+    """
+    exact, solved = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "key_rate_upper",
+                   lambda c, y: exact.append(y) or key_rate_upper(c, y))
+        mp.setattr(analysis, "optimize_yields",
+                   lambda *a, **k: solved.append(1) or optimize_yields(*a, **k))
+        row = analysis._evaluator(cfg, usd, N_TRUNC, enforce_errors, flags_only=True)(
+            ch, ch.loss_db)
+    return row, (True, exact[0]) if exact else None if solved else (False, None)
+
+
+def all_solver(monkeypatch):
+    """Every setting without yield geometry, so HiGHS decides every point."""
+    monkeypatch.setattr(analysis, "_yield_geometry", lambda *args: None)
+
+
 @st.composite
 def probes(draw):
     """A setting the exact path covers, at a loss near one of its edges."""
@@ -106,11 +132,10 @@ def probes(draw):
 def test_flag_rows_match_evaluate_point(probe):
     cfg, usd, base, errors, loss = probe
     ch = base.at_loss_db(loss)
-    row = analysis._row(cfg, usd, ch, N_TRUNC, errors, True, ch.loss_db)
+    row, exact = search_row(cfg, usd, ch, errors)
     ref = evaluate_point(cfg, usd, ch, N_TRUNC, errors)
     assert (row.feasible, row.attack_success, row.r_lower) == (
         ref.feasible, ref.attack_success, ref.r_lower)
-    exact = analysis._exact_yield(cfg, usd, ch, N_TRUNC, errors)
     if exact and exact[1]:
         # the exact optimum and HiGHS's agree within half the 1e-4 tie band
         assert ref.r_upper == pytest.approx(key_rate_upper(cfg, exact[1]), rel=0.5e-4)
@@ -131,7 +156,7 @@ def test_ideal_closed_form_in_exact_arithmetic(phase, enforce_errors):
     band = 0
     for loss in np.arange(0.0, 60.0, 0.25):
         ch = BASE.at_loss_db(float(loss))
-        exact = analysis._exact_yield(cfg, usd, ch, N_TRUNC, enforce_errors)
+        _, exact = search_row(cfg, usd, ch, enforce_errors)
         if not (exact and exact[1]):
             continue
         gain = Fraction(normal_gains(cfg, ch).q_mu_gain)
@@ -144,7 +169,7 @@ def test_ideal_closed_form_in_exact_arithmetic(phase, enforce_errors):
 @pytest.mark.parametrize("entry", GOLDEN[1:1 + len(CASES)], ids=lambda e: e.splitlines()[0])
 def test_windows_equal_all_solver_windows(entry, monkeypatch):
     exact = analysis_results(entry)
-    monkeypatch.setattr(analysis, "_exact_yield", lambda *args: None)
+    all_solver(monkeypatch)
     assert exact == analysis_results(entry)
 
 
@@ -160,8 +185,8 @@ def test_printed_rows_equal_all_solver_rows(case, enforce_errors, monkeypatch):
     monkeypatch.setattr(analysis, "optimize_yields",
                         lambda *a, **k: solved.append(a[2].eta) or optimize_yields(*a, **k))
     rows = sweep(cfg, usd, base, 0.0, 52.0, 0.5, N_TRUNC, enforce_errors)
-    verdicts = [analysis._exact_yield(cfg, usd, base.at_loss_db(r.loss_db), N_TRUNC,
-                                      enforce_errors) for r in rows]
+    verdicts = [search_row(cfg, usd, base.at_loss_db(r.loss_db), enforce_errors)[1]
+                for r in rows]
     # HiGHS runs only where the geometry leaves the point undecided or R^u > 0
     assert [r.eta in solved for r in rows] == [v is None or bool(v[1]) for v in verdicts]
     assert len(solved) == len(set(solved))
@@ -173,7 +198,7 @@ def test_printed_rows_equal_all_solver_rows(case, enforce_errors, monkeypatch):
     edges = [round(loss_db(e), 4) for e in (feasible_eta(cfg, usd), zero_rate_eta(cfg, usd)) if e]
     ranges = [(0.0, 52.0, 0.5), *((e - 1e-4, e + 1e-4, 1e-5) for e in edges)]
     printed = [rows] + [sweep(cfg, usd, base, *r, N_TRUNC, enforce_errors) for r in ranges[1:]]
-    monkeypatch.setattr(analysis, "_exact_yield", lambda *args: None)
+    all_solver(monkeypatch)
     assert repr(printed) == repr([sweep(cfg, usd, base, *r, N_TRUNC, enforce_errors)
                                   for r in ranges])
 
@@ -191,7 +216,45 @@ def test_measured_usd_with_errors_enforced_stays_on_the_solver(monkeypatch):
     assert len(probes) == len(solved) > 20
     for loss in range(30, 60):
         ch = BASE.at_loss_db(float(loss))
-        assert analysis._exact_yield(REF, TABLE_USD, ch, N_TRUNC, True) is None
+        assert search_row(REF, TABLE_USD, ch, True)[1] is None
+
+
+@pytest.mark.parametrize("usd,enforce_errors,bracket,builds", [
+    pytest.param(TABLE_USD, False, (33.0, 44.0), 1, id="measured"),
+    pytest.param(UsdPerformance(*[usd_success_optimal(REF)] * 2), True, (20.0, 30.0), 1,
+                 id="ideal-errors"),
+    # its error rows bind, so it has no geometry to build
+    pytest.param(TABLE_USD, True, (35.0, 40.0), 0, id="measured-errors"),
+])
+def test_each_call_builds_the_setting_geometry_once(usd, enforce_errors, bracket, builds,
+                                                    monkeypatch):
+    built = []
+    real = analysis._yield_geometry
+    monkeypatch.setattr(analysis, "_yield_geometry", lambda *a: built.append(a) or real(*a))
+    kw = {"enforce_errors": enforce_errors}
+    assert len(sweep(REF, usd, BASE, 30.0, 50.0, 0.1, **kw)) == 201
+    assert len(built) == builds
+    success_region(REF, usd, BASE, (0.0, 52.0, 0.5), **kw)
+    assert len(built) == 2 * builds
+    find_crossover(REF, usd, BASE, *bracket, **kw)
+    assert len(built) == 3 * builds
+    evaluate_point(REF, usd, BASE, **kw)
+    assert len(built) == 4 * builds
+    # arguments are checked before the setting is built
+    with pytest.raises(ValueError, match="loss_start_db must be <= loss_end_db"):
+        sweep(REF, usd, BASE, 50.0, 30.0, 0.5, **kw)
+    with pytest.raises(ValueError, match="step_db must be positive"):
+        success_region(REF, usd, BASE, (0.0, 52.0, 0.0), **kw)
+    with pytest.raises(ValueError, match="bracket_lo_db must be below bracket_hi_db"):
+        find_crossover(REF, usd, BASE, *bracket[::-1], **kw)
+    assert len(built) == 4 * builds
+
+
+def test_a_points_own_error_comes_before_a_truncation_below_one():
+    # nu = 0 fails the one-decoy estimate at every point; building the
+    # setting leaves a truncation below 1 to optimize_yields
+    with pytest.raises(ValueError, match="one-decoy estimate needs 0 < nu < mu"):
+        evaluate_point(SourceConfig(mu=0.5, nu=0.0), TABLE_USD, BASE, n_trunc=0)
 
 
 # crossover brackets of the README, the key_rate_bounds demo and cli.txt;
